@@ -23,10 +23,10 @@ import (
 // methods of other packages (Update, Push, Add, Set, ... — the repo's
 // counter/history mutation vocabulary) on receiver-rooted values, and for
 // calls to same-package helpers that transitively do either with
-// receiver-rooted values flowing in. The one sanctioned exception — the
-// Perceptron's dot-product memo, whose invalidation rule keeps
-// out-of-order drivers bit-identical — carries a //bplint:allow
-// predictpure directive stating that invariant.
+// receiver-rooted values flowing in. A sanctioned exception — such as a
+// Predict-side memo whose invalidation rule keeps out-of-order drivers
+// bit-identical — carries a //bplint:allow predictpure directive stating
+// that invariant.
 var PredictPure = &Analyzer{
 	Name: "predictpure",
 	Doc:  "Predict/PredictBits on internal/predictor types must not mutate predictor state",

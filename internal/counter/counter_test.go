@@ -192,50 +192,133 @@ func TestArrayNSizeBytes(t *testing.T) {
 	}
 }
 
-func TestSignedArraySaturation(t *testing.T) {
-	s := NewSignedArray(4, 8)
-	if s.Max() != 127 || s.Min() != -128 {
-		t.Fatalf("8-bit range [%d,%d]", s.Min(), s.Max())
+func TestWeightRowsSaturation(t *testing.T) {
+	w := NewWeightRows(2, 9)
+	for i := 0; i < 1000; i++ {
+		w.Train(0, 1<<9-1) // every weight up
 	}
-	s.Add(0, 1000)
-	if s.Get(0) != 127 {
-		t.Fatalf("saturate high: %d", s.Get(0))
+	for j := 0; j < 9; j++ {
+		if w.Get(0, j) != 127 {
+			t.Fatalf("saturate high: weight %d = %d", j, w.Get(0, j))
+		}
 	}
-	s.Add(0, -1000)
-	if s.Get(0) != -128 {
-		t.Fatalf("saturate low: %d", s.Get(0))
+	for i := 0; i < 1000; i++ {
+		w.Train(0, 0) // every weight down
+	}
+	for j := 0; j < 9; j++ {
+		if w.Get(0, j) != -128 {
+			t.Fatalf("saturate low: weight %d = %d", j, w.Get(0, j))
+		}
+		if w.Get(1, j) != 0 {
+			t.Fatalf("training row 0 moved row 1 weight %d to %d", j, w.Get(1, j))
+		}
 	}
 }
 
-func TestSignedArrayAddCommutes(t *testing.T) {
-	s := NewSignedArray(1, 8)
-	f := func(deltas []int8) bool {
-		s.Add(0, -s.Get(0)) // reset
-		sum := 0
-		for _, d := range deltas {
-			s.Add(0, int(d))
-			sum += int(d)
-			if sum > 127 {
-				sum = 127
+// TestWeightRowsTrainMatchesReference drives one row of every width
+// through random training steps and checks each weight against a plain
+// clamped integer, and the row's dot product against the textbook sum.
+// The row's padding must stay at zero weight throughout.
+func TestWeightRowsTrainMatchesReference(t *testing.T) {
+	for _, perRow := range []int{1, 7, 8, 9, 33, 63, 64} {
+		w := NewWeightRows(3, perRow)
+		ref := make([]int, perRow)
+		mask := ^uint64(0) >> (64 - uint(perRow))
+		f := func(agree, s uint64, reps uint8) bool {
+			for n := 0; n < int(reps%8)+1; n++ {
+				w.Train(1, agree)
+				for j := range ref {
+					if agree>>uint(j)&1 == 1 {
+						ref[j] = min(ref[j]+1, 127)
+					} else {
+						ref[j] = max(ref[j]-1, -128)
+					}
+				}
 			}
-			if sum < -128 {
-				sum = -128
+			dot := 0
+			for j, v := range ref {
+				if w.Get(1, j) != v {
+					return false
+				}
+				if s>>uint(j)&1 == 1 {
+					dot += v
+				} else {
+					dot -= v
+				}
 			}
-			// Saturation is path-dependent; only check bounds here.
-			if s.Get(0) > 127 || s.Get(0) < -128 {
+			row := w.words[w.stride : 2*w.stride]
+			for k := perRow; k < 8*w.stride; k++ {
+				if row[k/8]>>(8*uint(k%8))&0xFF != 0x80 {
+					return false
+				}
+			}
+			return w.Dot(1, s&mask) == dot && w.Dot(0, s&mask) == 0
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatalf("%d weights per row: %v", perRow, err)
+		}
+	}
+}
+
+func TestWeightRowsSizeBytes(t *testing.T) {
+	if got := NewWeightRows(4, 25).SizeBytes(); got != 100 {
+		t.Fatalf("100 8-bit weights = %d bytes", got)
+	}
+	if got := NewWeightRows(3, 63).SizeBytes(); got != 189 {
+		t.Fatalf("189 8-bit weights = %d bytes", got)
+	}
+}
+
+// TestSWARHelpersMatchBytewise checks the packed-byte helpers behind
+// WeightRows against byte-at-a-time loops.
+func TestSWARHelpersMatchBytewise(t *testing.T) {
+	byteOf := func(x uint64, j int) uint64 { return x >> (8 * uint(j)) & 0xFF }
+	lanes := func(b uint64) bool {
+		got := byteLanes(b)
+		for j := 0; j < 8; j++ {
+			if byteOf(got, j) != b>>uint(j)&1 {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	sum := func(x uint64) bool {
+		want := 0
+		for j := 0; j < 8; j++ {
+			want += int(byteOf(x, j))
+		}
+		return byteSum(x) == want
 	}
-}
-
-func TestSignedArraySizeBytes(t *testing.T) {
-	if got := NewSignedArray(100, 8).SizeBytes(); got != 100 {
-		t.Fatalf("100 8-bit weights = %d bytes", got)
+	step := func(x, upBits, downBits uint64) bool {
+		up := byteLanes(upBits)
+		down := byteLanes(downBits) &^ up
+		got := stepBytes(x, up, down)
+		for j := 0; j < 8; j++ {
+			b := byteOf(x, j)
+			switch {
+			case byteOf(up, j) == 1 && b < 0xFF:
+				b++
+			case byteOf(down, j) == 1 && b > 0:
+				b--
+			}
+			if byteOf(got, j) != b {
+				return false
+			}
+		}
+		return true
+	}
+	// Saturated bytes are rare among random words; force some.
+	saturated := func(x, sel uint64) uint64 {
+		return x&^(byteLanes(sel)*0xFF) | byteLanes(sel>>8)*0xFF&byteLanes(sel)*0xFF
+	}
+	stepSat := func(x, sel, upBits, downBits uint64) bool { return step(saturated(x, sel), upBits, downBits) }
+	for name, f := range map[string]any{"byteLanes": lanes, "byteSum": sum, "stepBytes": step, "stepBytes-saturated": stepSat} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if byteSum(^uint64(0)) != 8*255 {
+		t.Errorf("byteSum(all 0xFF) = %d", byteSum(^uint64(0)))
 	}
 }
 

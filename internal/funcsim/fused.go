@@ -11,9 +11,9 @@ import (
 // repeated per (kind, budget) cell, and so is the per-branch dispatch
 // overhead of the Predict/Update protocol. RunMany pulls each 256-entry
 // branch batch once and feeds it to every lane before advancing the
-// cursor, so the fill cost amortizes over the whole grid column and cheap
-// table predictors step through the batch with one BatchStepper call
-// instead of two interface calls per branch.
+// cursor, so the fill cost amortizes over the whole grid column and every
+// predictor that implements BatchStepper steps through the batch with one
+// call instead of two interface calls per branch.
 
 // A Lane is one predictor's slot in a fused RunMany sweep. Each lane gets
 // its own fresh predictor, exactly as if it were run through Run alone.

@@ -11,10 +11,10 @@ import (
 )
 
 // fusedLaneKinds is the lane mix for the fused equivalence suite: every
-// BatchStepper implementation, the heavy predictors whose lanes take the
-// generic scalar loop (the perceptron's Predict-memo must survive many
-// lanes interleaving on one stream), and the cycle-aware gshare.fast,
-// whose per-lane fetch clock RunMany reconstructs independently.
+// BatchStepper implementation — the table predictors and the paper's three
+// complex predictors (perceptron, multi-component, 2Bc-gskew) — and the
+// cycle-aware gshare.fast, which takes the generic scalar loop with a
+// per-lane fetch clock that RunMany reconstructs independently.
 func fusedLaneKinds() []Lane {
 	return []Lane{
 		{P: predictor.NewGShareFromBudget(2 << 10)},
@@ -95,6 +95,9 @@ func TestRunManyAllocs(t *testing.T) {
 		{P: predictor.NewGShareFromBudget(16 << 10)},
 		{P: predictor.NewBimodalFromBudget(8 << 10)},
 		{P: predictor.NewBiModeFromBudget(16 << 10)},
+		{P: predictor.NewMultiComponentFromBudget(16 << 10)},
+		{P: predictor.NewPerceptronFromBudget(16 << 10)},
+		{P: predictor.NewGSkew2BcFromBudget(16 << 10)},
 	}
 	opts := Options{MaxInsts: 100_000, WarmupInsts: 20_000}
 	measure := func(rec *trace.Recording) float64 {

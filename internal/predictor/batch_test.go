@@ -15,11 +15,30 @@ var stepBatchKinds = []struct {
 	{"gshare-short-history", func() Predictor { return NewGShare(1<<12, 5) }},
 	{"bimodal", func() Predictor { return NewBimodalFromBudget(8 << 10) }},
 	{"bimode", func() Predictor { return NewBiModeFromBudget(8 << 10) }},
+	{"multicomponent-8KB", func() Predictor { return NewMultiComponentFromBudget(8 << 10) }},
+	{"multicomponent-512KB", func() Predictor { return NewMultiComponentFromBudget(512 << 10) }},
+	// 2 KB has no local history; 512 KB fills the 63-bit sign vector.
+	{"perceptron-2KB", func() Predictor { return NewPerceptronFromBudget(2 << 10) }},
+	{"perceptron-64KB", func() Predictor { return NewPerceptronFromBudget(64 << 10) }},
+	{"perceptron-512KB", func() Predictor { return NewPerceptronFromBudget(512 << 10) }},
+	{"2bcgskew", func() Predictor { return NewGSkew2BcFromBudget(8 << 10) }},
 }
+
+// Saturation segment of branchStream: between n/4 and 3n/4 two branches
+// alternate, satX with a random outcome and satY copying satX's outcome
+// (the newest global history bit) in the first half of the segment and
+// inverting it in the second. satY's perceptron weight for that bit climbs
+// to its upper bound and then falls to its lower bound (the 512 KB
+// perceptron's θ exceeds 127, so training does not stop short of either).
+const (
+	satX = 0x9000
+	satY = 0x9004
+)
 
 // branchStream synthesizes a deterministic branch stream with enough
 // structure (loops, correlated and biased branches) that every counter state
-// and both bi-mode banks are exercised.
+// and both bi-mode banks are exercised, and with a segment that drives one
+// perceptron weight to both saturation bounds.
 func branchStream(n int) (pcs []uint64, takens []bool) {
 	rng := rand.New(rand.NewSource(42))
 	pcs = make([]uint64, n)
@@ -28,17 +47,32 @@ func branchStream(n int) (pcs []uint64, takens []bool) {
 	for i := range pcs {
 		pc := uint64(0x1000 + 4*(rng.Intn(300)))
 		var taken bool
-		switch pc % 3 {
-		case 0:
-			taken = i%7 != 0 // loop-like: mostly taken
-		case 1:
-			taken = hist // correlated with the previous outcome
+		switch {
+		case i >= n/4 && i < 3*n/4 && i%2 == 0:
+			pc, taken = satX, rng.Intn(2) == 0
+		case i >= n/4 && i < 3*n/4:
+			pc, taken = satY, hist == (i < n/2)
 		default:
-			taken = rng.Intn(4) == 0 // biased not-taken with noise
+			taken = structuredOutcome(pc, i, hist, rng)
 		}
 		pcs[i], takens[i], hist = pc, taken, taken
 	}
 	return pcs, takens
+}
+
+// structuredOutcome is the outcome of the branch at pc outside the
+// saturation segment.
+func structuredOutcome(pc uint64, i int, hist bool, rng *rand.Rand) bool {
+	var taken bool
+	switch pc % 3 {
+	case 0:
+		taken = i%7 != 0 // loop-like: mostly taken
+	case 1:
+		taken = hist // correlated with the previous outcome
+	default:
+		taken = rng.Intn(4) == 0 // biased not-taken with noise
+	}
+	return taken
 }
 
 // TestStepBatchEquivalence pins every BatchStepper against the scalar

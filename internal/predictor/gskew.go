@@ -100,16 +100,34 @@ func (g *GSkew2Bc) indices(pc uint64) (bim, i0, i1, meta int) {
 	return bim, i0, i1, meta
 }
 
-// components returns the per-bank direction bits and the two candidate
+// gskewLookup is one branch's view of the four banks: each bank's index
+// and direction bit, and the two candidate predictions.
+type gskewLookup struct {
+	ib, i0, i1, im          int
+	bimT, g0T, g1T, useSkew bool
+	skewPred                bool
+}
+
+// pred returns the prediction META selects.
+func (lk *gskewLookup) pred() bool {
+	if lk.useSkew {
+		return lk.skewPred
+	}
+	return lk.bimT
+}
+
+// components reads the per-bank direction bits and the two candidate
 // predictions.
-func (g *GSkew2Bc) components(pc uint64) (bimT, g0T, g1T, useSkew, skewPred bool, ib, i0, i1, im int) {
-	ib, i0, i1, im = g.indices(pc)
-	bimT = g.bim.Taken(ib)
-	g0T = g.g0.Taken(i0)
-	g1T = g.g1.Taken(i1)
-	useSkew = g.meta.Taken(im)
-	skewPred = majority(bimT, g0T, g1T)
-	return bimT, g0T, g1T, useSkew, skewPred, ib, i0, i1, im
+//
+//bplint:hotpath 2Bc-gskew lookup, shared by Predict, Update and StepBatch
+func (g *GSkew2Bc) components(pc uint64) (lk gskewLookup) {
+	lk.ib, lk.i0, lk.i1, lk.im = g.indices(pc)
+	lk.bimT = g.bim.Taken(lk.ib)
+	lk.g0T = g.g0.Taken(lk.i0)
+	lk.g1T = g.g1.Taken(lk.i1)
+	lk.useSkew = g.meta.Taken(lk.im)
+	lk.skewPred = majority(lk.bimT, lk.g0T, lk.g1T)
+	return lk
 }
 
 func majority(a, b, c bool) bool {
@@ -128,49 +146,67 @@ func majority(a, b, c bool) bool {
 
 // Predict implements Predictor.
 func (g *GSkew2Bc) Predict(pc uint64) bool {
-	bimT, _, _, useSkew, skewPred, _, _, _, _ := g.components(pc)
-	if useSkew {
-		return skewPred
-	}
-	return bimT
+	lk := g.components(pc)
+	return lk.pred()
 }
 
-// Update implements Predictor, applying the published partial-update policy:
+// Update implements Predictor.
+func (g *GSkew2Bc) Update(pc uint64, taken bool) {
+	lk := g.components(pc)
+	g.train(&lk, taken)
+}
+
+// train applies the published partial-update policy to the banks
+// components read:
 //
 //   - On a correct prediction, strengthen only the banks that agreed with the
 //     outcome and provided it (BIM alone when META chose BIM; the agreeing
 //     majority banks when META chose e-gskew).
 //   - On a misprediction, train all direction banks toward the outcome.
 //   - META trains toward the e-gskew side whenever BIM and e-gskew disagree.
-func (g *GSkew2Bc) Update(pc uint64, taken bool) {
-	bimT, g0T, g1T, useSkew, skewPred, ib, i0, i1, im := g.components(pc)
-	pred := bimT
-	if useSkew {
-		pred = skewPred
-	}
-	if pred == taken {
-		if useSkew {
-			if bimT == taken {
-				g.bim.Update(ib, taken)
+//
+//bplint:hotpath 2Bc-gskew training, shared by Update and StepBatch
+func (g *GSkew2Bc) train(lk *gskewLookup, taken bool) {
+	if lk.pred() == taken {
+		if lk.useSkew {
+			if lk.bimT == taken {
+				g.bim.Update(lk.ib, taken)
 			}
-			if g0T == taken {
-				g.g0.Update(i0, taken)
+			if lk.g0T == taken {
+				g.g0.Update(lk.i0, taken)
 			}
-			if g1T == taken {
-				g.g1.Update(i1, taken)
+			if lk.g1T == taken {
+				g.g1.Update(lk.i1, taken)
 			}
 		} else {
-			g.bim.Update(ib, taken)
+			g.bim.Update(lk.ib, taken)
 		}
 	} else {
-		g.bim.Update(ib, taken)
-		g.g0.Update(i0, taken)
-		g.g1.Update(i1, taken)
+		g.bim.Update(lk.ib, taken)
+		g.g0.Update(lk.i0, taken)
+		g.g1.Update(lk.i1, taken)
 	}
-	if bimT != skewPred {
-		g.meta.Update(im, skewPred == taken)
+	if lk.bimT != lk.skewPred {
+		g.meta.Update(lk.im, lk.skewPred == taken)
 	}
 	g.ghr.Push(taken)
+}
+
+// StepBatch implements BatchStepper: components runs once per branch
+// instead of once in Predict and again in Update.
+//
+//bplint:hotpath fused-sweep 2Bc-gskew lane; bit-identity pinned by TestStepBatchEquivalence
+func (g *GSkew2Bc) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
+	var miss int64
+	for i, pc := range pcs {
+		taken := takens[i]
+		lk := g.components(pc)
+		g.train(&lk, taken)
+		if lk.pred() != taken && i >= measuredFrom {
+			miss++
+		}
+	}
+	return miss
 }
 
 // SizeBytes implements Predictor.

@@ -21,16 +21,23 @@ import (
 type MultiComponent struct {
 	bimodal    *counter.Array2
 	bimMask    uint64
-	components []*mcComponent
+	components []mcComponent
 	// Optional local two-level component (Evers' multi-hybrid mixes
 	// global- and local-history components).
 	localPHT  *counter.Array2
 	localHist *history.Local
-	selector  []*counter.ArrayN // one confidence array per prediction source
-	selMask   uint64
-	ghr       *history.Global
-	name      string
+	// selector holds every prediction source's 2-bit confidence counter,
+	// row-major: one row of sources() counters per selector entry, in
+	// source order, so a selection reads one row.
+	selector *counter.ArrayN
+	selMask  uint64
+	ghr      *history.Global
+	name     string
 }
+
+// mcMaxSources bounds the prediction sources of a multi-component hybrid,
+// so one branch's per-source lookup fits fixed arrays on the stack.
+const mcMaxSources = 8
 
 // mcComponent is one gshare-style two-level component with XOR-folded
 // history of a fixed length.
@@ -61,7 +68,7 @@ func (c *mcComponent) index(pc uint64, hist uint64) int {
 type MCConfig struct {
 	BimodalEntries   int    // bimodal component entries (power of two)
 	ComponentEntries int    // per-component PHT entries (power of two)
-	HistoryLengths   []uint // one two-level component per entry, ascending
+	HistoryLengths   []uint // one two-level component per entry, ascending; at most six with a local component, seven without
 	SelectorEntries  int    // selector table entries (power of two)
 	// LocalHistories and LocalBits, when nonzero, add a two-level local
 	// component: LocalHistories registers of LocalBits bits indexing a
@@ -97,7 +104,7 @@ func NewMultiComponent(cfg MCConfig) *MultiComponent {
 	}
 	idxBits := log2(cfg.ComponentEntries)
 	for _, h := range cfg.HistoryLengths {
-		m.components = append(m.components, &mcComponent{
+		m.components = append(m.components, mcComponent{
 			pht:      counter.NewArray2(cfg.ComponentEntries, counter.WeaklyNotTaken),
 			histBits: h,
 			mask:     uint64(cfg.ComponentEntries - 1),
@@ -108,15 +115,19 @@ func NewMultiComponent(cfg MCConfig) *MultiComponent {
 		m.localPHT = counter.NewArray2(1<<cfg.LocalBits, counter.WeaklyNotTaken)
 		m.localHist = history.NewLocal(cfg.LocalHistories, cfg.LocalBits)
 	}
-	// One confidence array per prediction source (global components,
-	// then the local component if present, bimodal last). The bimodal
-	// component starts fully confident and the history components one
-	// notch below, so a history component must demonstrate an advantage
-	// before it takes over a branch.
-	for i := 0; i < m.sources()-1; i++ {
-		m.selector = append(m.selector, counter.NewArrayN(cfg.SelectorEntries, 2, 2))
+	n := m.sources()
+	if n > mcMaxSources {
+		panic(fmt.Sprintf("predictor: multi-component has %d sources, more than %d", n, mcMaxSources))
 	}
-	m.selector = append(m.selector, counter.NewArrayN(cfg.SelectorEntries, 2, 3))
+	// One confidence counter per prediction source in every selector row
+	// (global components, then the local component if present, bimodal
+	// last). The bimodal component starts fully confident and the history
+	// components one notch below, so a history component must demonstrate
+	// an advantage before it takes over a branch.
+	m.selector = counter.NewArrayN(cfg.SelectorEntries*n, 2, 2)
+	for row := 0; row < cfg.SelectorEntries; row++ {
+		m.selector.Set(row*n+n-1, 3)
+	}
 	m.name = fmt.Sprintf("multicomponent-%s", budgetName(m.SizeBytes()))
 	return m
 }
@@ -163,39 +174,83 @@ func (m *MultiComponent) sources() int {
 	return n
 }
 
-// predictions returns each source's prediction (global components in order,
-// then the local component if present, bimodal last) and the chosen source.
-func (m *MultiComponent) predictions(pc uint64) (preds []bool, chosen int) {
-	hist := m.ghr.Value()
-	preds = make([]bool, m.sources())
-	for i, c := range m.components {
-		preds[i] = c.pht.Taken(c.index(pc, hist))
-	}
-	if m.localPHT != nil {
-		preds[len(m.components)] = m.localPHT.Taken(int(m.localHist.Get(pc)))
-	}
-	bim := m.sources() - 1
-	preds[bim] = m.bimodal.Taken(int(pcIndex(pc, m.bimMask)))
+// mcLookup is one branch's view of every prediction source: each source's
+// table index and predicted direction, the source the selector chose, and
+// the branch's selector row.
+type mcLookup struct {
+	idx    [mcMaxSources]int
+	preds  uint // bit i set: source i predicts taken
+	chosen int
+	sel    int // selector index of the row's first counter
+}
 
-	sel := int(pcIndex(pc, m.selMask))
-	best, bestConf := bim, int(m.selector[bim].Get(sel))
+func (lk *mcLookup) pred() bool { return lk.preds>>uint(lk.chosen)&1 == 1 }
+
+// choose reads the branch's selector row and returns its first counter's
+// index and the chosen source.
+//
+//bplint:hotpath multi-component selection, shared by Predict and lookup
+func (m *MultiComponent) choose(pc uint64) (sel, chosen int) {
+	n := m.sources()
+	sel = int(pcIndex(pc, m.selMask)) * n
+	bim := n - 1
+	best, bestConf := bim, m.selector.Get(sel+bim)
 	// Scan short-history components first: confidence ties go to the
 	// component with the least context, which warms up fastest and
 	// aliases least. A longer-history component takes over only when its
 	// confidence strictly exceeds everything simpler — the stable
 	// variant of Evers' priority selection for 2-bit confidences.
 	for i := 0; i < bim; i++ {
-		if conf := int(m.selector[i].Get(sel)); conf > bestConf {
+		if conf := m.selector.Get(sel + i); conf > bestConf {
 			best, bestConf = i, conf
 		}
 	}
-	return preds, best
+	return sel, best
 }
 
-// Predict implements Predictor.
+// lookup reads the selector row and every source's prediction for the
+// branch at pc (global components in order, then the local component if
+// present, bimodal last).
+//
+//bplint:hotpath multi-component lookup, shared by Update and StepBatch
+func (m *MultiComponent) lookup(pc uint64, lk *mcLookup) {
+	lk.sel, lk.chosen = m.choose(pc)
+	lk.preds = 0
+	hist := m.ghr.Value()
+	for i := range m.components {
+		c := &m.components[i]
+		lk.idx[i] = c.index(pc, hist)
+		if c.pht.Taken(lk.idx[i]) {
+			lk.preds |= 1 << uint(i)
+		}
+	}
+	if m.localPHT != nil {
+		i := len(m.components)
+		lk.idx[i] = int(m.localHist.Get(pc))
+		if m.localPHT.Taken(lk.idx[i]) {
+			lk.preds |= 1 << uint(i)
+		}
+	}
+	bim := m.sources() - 1
+	lk.idx[bim] = int(pcIndex(pc, m.bimMask))
+	if m.bimodal.Taken(lk.idx[bim]) {
+		lk.preds |= 1 << uint(bim)
+	}
+}
+
+// Predict implements Predictor: it reads the selector row and then only
+// the chosen source's table.
 func (m *MultiComponent) Predict(pc uint64) bool {
-	preds, chosen := m.predictions(pc)
-	return preds[chosen]
+	_, chosen := m.choose(pc)
+	switch {
+	case chosen < len(m.components):
+		c := &m.components[chosen]
+		return c.pht.Taken(c.index(pc, m.ghr.Value()))
+	case chosen == m.sources()-1:
+		return m.bimodal.Taken(int(pcIndex(pc, m.bimMask)))
+	default:
+		return m.localPHT.Taken(int(m.localHist.Get(pc)))
+	}
 }
 
 // Update implements Predictor. All direction components train on every
@@ -208,30 +263,54 @@ func (m *MultiComponent) Predict(pc uint64) bool {
 //   - chosen wrong: correct components are incremented and the chosen
 //     component is decremented.
 func (m *MultiComponent) Update(pc uint64, taken bool) {
-	preds, chosen := m.predictions(pc)
-	chosenCorrect := preds[chosen] == taken
-	sel := int(pcIndex(pc, m.selMask))
-	for i, pred := range preds {
-		correct := pred == taken
+	var lk mcLookup
+	m.lookup(pc, &lk)
+	m.train(pc, taken, &lk)
+}
+
+// train applies the outcome of the branch at pc to the state lookup read.
+//
+//bplint:hotpath multi-component training, shared by Update and StepBatch
+func (m *MultiComponent) train(pc uint64, taken bool, lk *mcLookup) {
+	chosenCorrect := lk.pred() == taken
+	for i := 0; i < m.sources(); i++ {
+		correct := (lk.preds>>uint(i)&1 == 1) == taken
 		switch {
-		case i == chosen && !chosenCorrect:
-			m.selector[i].Update(sel, false)
-		case i != chosen && chosenCorrect && !correct:
-			m.selector[i].Update(sel, false)
-		case i != chosen && !chosenCorrect && correct:
-			m.selector[i].Update(sel, true)
+		case i == lk.chosen && !chosenCorrect:
+			m.selector.Update(lk.sel+i, false)
+		case i != lk.chosen && chosenCorrect && !correct:
+			m.selector.Update(lk.sel+i, false)
+		case i != lk.chosen && !chosenCorrect && correct:
+			m.selector.Update(lk.sel+i, true)
 		}
 	}
-	hist := m.ghr.Value()
-	for _, c := range m.components {
-		c.pht.Update(c.index(pc, hist), taken)
+	for i := range m.components {
+		m.components[i].pht.Update(lk.idx[i], taken)
 	}
 	if m.localPHT != nil {
-		m.localPHT.Update(int(m.localHist.Get(pc)), taken)
+		m.localPHT.Update(lk.idx[len(m.components)], taken)
 		m.localHist.Push(pc, taken)
 	}
-	m.bimodal.Update(int(pcIndex(pc, m.bimMask)), taken)
+	m.bimodal.Update(lk.idx[m.sources()-1], taken)
 	m.ghr.Push(taken)
+}
+
+// StepBatch implements BatchStepper: one lookup per branch serves both the
+// prediction and the training.
+//
+//bplint:hotpath fused-sweep multi-component lane; bit-identity pinned by TestStepBatchEquivalence
+func (m *MultiComponent) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
+	var miss int64
+	var lk mcLookup
+	for i, pc := range pcs {
+		taken := takens[i]
+		m.lookup(pc, &lk)
+		m.train(pc, taken, &lk)
+		if lk.pred() != taken && i >= measuredFrom {
+			miss++
+		}
+	}
+	return miss
 }
 
 // SizeBytes implements Predictor.
@@ -243,10 +322,7 @@ func (m *MultiComponent) SizeBytes() int {
 	for _, c := range m.components {
 		size += c.pht.SizeBytes()
 	}
-	for _, s := range m.selector {
-		size += s.SizeBytes()
-	}
-	return size
+	return size + m.selector.SizeBytes()
 }
 
 // Name implements Predictor.

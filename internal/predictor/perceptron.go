@@ -22,7 +22,7 @@ import (
 // one extra cycle on top of the table access under the paper's optimistic
 // assumption (§4.1.5).
 type Perceptron struct {
-	weights *counter.SignedArray // n × (1+hg+hl), row-major
+	weights *counter.WeightRows // n rows of 1+hg+hl weights
 	lhist   *history.Local
 	ghr     *history.Global
 	n       int
@@ -30,21 +30,6 @@ type Perceptron struct {
 	hl      uint
 	theta   int
 	name    string
-
-	// Predict memoizes its dot product for the Update that follows: with
-	// the strict Predict-then-Update alternation of the functional
-	// simulator the recomputation in Update is pure waste (it reads
-	// exactly the state Predict read), and it is the dominant cost of the
-	// predictor. The memo is only reused when the PC matches and no
-	// Update ran in between — weights and histories mutate only in
-	// Update, which always invalidates — so out-of-order drivers (the
-	// pipeline model retires updates long after fetch-time predictions)
-	// recompute exactly as before. Hardware reads the adder tree once
-	// and latches y; this is that latch.
-	memoPC    uint64
-	memoY     int
-	memoBase  int
-	memoValid bool
 }
 
 // PerceptronConfig sizes a perceptron predictor.
@@ -53,23 +38,22 @@ type PerceptronConfig struct {
 	GlobalBits  uint // global history length
 	LocalBits   uint // local history length (0 disables the local part)
 	LocalTables int  // local history registers (power of two), if LocalBits > 0
-	WeightBits  uint // signed weight width, 8 in the published design
 }
 
 // NewPerceptron returns a perceptron predictor with the given configuration.
+// Weights are 8 bits wide, as in the published design. The bias input and
+// both histories must fit one 64-bit sign vector: 1+GlobalBits+LocalBits
+// may not exceed 64.
 func NewPerceptron(cfg PerceptronConfig) *Perceptron {
 	if cfg.Entries <= 0 {
 		panic("predictor: perceptron needs at least one entry")
 	}
-	if cfg.WeightBits == 0 {
-		cfg.WeightBits = 8
-	}
-	if cfg.GlobalBits == 0 || cfg.GlobalBits > history.MaxGlobalBits {
-		panic(fmt.Sprintf("predictor: perceptron global history %d out of range", cfg.GlobalBits))
+	if cfg.GlobalBits == 0 || 1+cfg.GlobalBits+cfg.LocalBits > 64 {
+		panic(fmt.Sprintf("predictor: perceptron histories %d+%d out of range", cfg.GlobalBits, cfg.LocalBits))
 	}
 	h := cfg.GlobalBits + cfg.LocalBits
 	p := &Perceptron{
-		weights: counter.NewSignedArray(cfg.Entries*int(1+h), cfg.WeightBits),
+		weights: counter.NewWeightRows(cfg.Entries, int(1+h)),
 		ghr:     history.NewGlobal(cfg.GlobalBits),
 		n:       cfg.Entries,
 		hg:      cfg.GlobalBits,
@@ -131,99 +115,74 @@ func NewPerceptronFromBudget(budgetBytes int) *Perceptron {
 		GlobalBits:  hg,
 		LocalBits:   hl,
 		LocalTables: localTables,
-		WeightBits:  8,
 	})
 }
 
-func (p *Perceptron) row(pc uint64) int {
-	return int(hashPC(pc) % uint64(p.n))
+// inputs returns the weight row of the branch at pc and its sign vector:
+// bit 0 is the bias input (always 1), bits 1..hg the global history and
+// the next hl bits the branch's local history, a set bit standing for a
+// taken outcome (+1) and a clear bit for a not-taken one (-1).
+//
+//bplint:hotpath perceptron inputs, shared by Predict, Update and StepBatch
+func (p *Perceptron) inputs(pc uint64) (row int, s uint64) {
+	row = int(hashPC(pc) % uint64(p.n))
+	s = 1 | p.ghr.Value()<<1
+	if p.lhist != nil {
+		s |= p.lhist.Get(pc) << (1 + p.hg)
+	}
+	return row, s
 }
 
-// output computes the perceptron dot product for the branch at pc.
-func (p *Perceptron) output(pc uint64) (y int, base int) {
-	base = p.row(pc) * int(1+p.hg+p.hl)
-	y = p.weights.Get(base)
-	g := p.ghr.Value()
-	for i := uint(0); i < p.hg; i++ {
-		w := p.weights.Get(base + 1 + int(i))
-		if g>>i&1 == 1 {
-			y += w
-		} else {
-			y -= w
+// train applies the resolved outcome of the branch at pc, whose inputs
+// produced output y: the perceptron rule moves every weight of the row one
+// step toward agreement with the outcome when the prediction was wrong or
+// |y| did not exceed θ, and both histories then shift the outcome in.
+//
+//bplint:hotpath perceptron training, shared by Update and StepBatch
+func (p *Perceptron) train(pc uint64, row int, s uint64, y int, taken bool) {
+	if (y >= 0) != taken || (y <= p.theta && y >= -p.theta) {
+		// Weight j moves up when input j agrees with the outcome.
+		agree := s
+		if !taken {
+			agree = ^s
 		}
+		p.weights.Train(row, agree)
 	}
-	if p.hl > 0 {
-		l := p.lhist.Get(pc)
-		off := base + 1 + int(p.hg)
-		for i := uint(0); i < p.hl; i++ {
-			w := p.weights.Get(off + int(i))
-			if l>>i&1 == 1 {
-				y += w
-			} else {
-				y -= w
-			}
-		}
+	if p.lhist != nil {
+		p.lhist.Push(pc, taken)
 	}
-	return y, base
+	p.ghr.Push(taken)
 }
 
-// Predict implements Predictor.
+// Predict implements Predictor: the sign of the row's dot product with the
+// inputs.
 func (p *Perceptron) Predict(pc uint64) bool {
-	y, base := p.output(pc)
-	// The dot-product memo is observationally pure: Update consults it only
-	// when the PC matches and always invalidates it, and Predict overwrites
-	// it unconditionally, so no prediction or training outcome ever depends
-	// on whether (or in what order) earlier Predicts ran — out-of-order
-	// pipeline drivers stay bit-identical to in-order ones.
-	//bplint:allow predictpure memo never changes an outcome; Update invalidates it on every call
-	p.memoPC, p.memoY, p.memoBase, p.memoValid = pc, y, base, true
-	return y >= 0
+	row, s := p.inputs(pc)
+	return p.weights.Dot(row, s) >= 0
 }
 
 // Update implements Predictor.
 func (p *Perceptron) Update(pc uint64, taken bool) {
-	var y, base int
-	if p.memoValid && p.memoPC == pc {
-		y, base = p.memoY, p.memoBase
-	} else {
-		y, base = p.output(pc)
-	}
-	p.memoValid = false
-	pred := y >= 0
-	mag := y
-	if mag < 0 {
-		mag = -mag
-	}
-	if pred != taken || mag <= p.theta {
-		t := -1
-		if taken {
-			t = 1
-		}
-		p.weights.Add(base, t)
-		g := p.ghr.Value()
-		for i := uint(0); i < p.hg; i++ {
-			x := -1
-			if g>>i&1 == 1 {
-				x = 1
-			}
-			p.weights.Add(base+1+int(i), t*x)
-		}
-		if p.hl > 0 {
-			l := p.lhist.Get(pc)
-			off := base + 1 + int(p.hg)
-			for i := uint(0); i < p.hl; i++ {
-				x := -1
-				if l>>i&1 == 1 {
-					x = 1
-				}
-				p.weights.Add(off+int(i), t*x)
-			}
+	row, s := p.inputs(pc)
+	p.train(pc, row, s, p.weights.Dot(row, s), taken)
+}
+
+// StepBatch implements BatchStepper: Predict and Update share one dot
+// product per branch.
+//
+//bplint:hotpath fused-sweep perceptron lane; bit-identity pinned by TestStepBatchEquivalence
+func (p *Perceptron) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
+	var miss int64
+	for i, pc := range pcs {
+		taken := takens[i]
+		row, s := p.inputs(pc)
+		y := p.weights.Dot(row, s)
+		p.train(pc, row, s, y, taken)
+		if (y >= 0) != taken && i >= measuredFrom {
+			miss++
 		}
 	}
-	if p.hl > 0 {
-		p.lhist.Push(pc, taken)
-	}
-	p.ghr.Push(taken)
+	return miss
 }
 
 // SizeBytes implements Predictor.

@@ -53,11 +53,15 @@ type CycleAware interface {
 // i >= measuredFrom whose pred differed from takens[i]. "Identical" means
 // bit-identical: the same table and history state afterwards and the same
 // per-branch predictions, which the equivalence suites in this package and
-// in funcsim enforce against the scalar protocol. Only predictors whose
-// per-branch work is cheap enough for dispatch and duplicate index
-// computation to dominate implement it — complex predictors gain nothing,
-// and cycle-aware predictors cannot (their per-branch OnCycle interleaving
-// needs the scalar loop).
+// in funcsim enforce against the scalar protocol. An implementation is a
+// short loop over the same lookup and training helpers its Predict and
+// Update call, so the predictor's logic exists once. The gain is the work
+// a scalar Predict/Update pair does twice: for the table predictors the
+// index computation and table read, for the paper's complex predictors the
+// whole lookup — the perceptron's dot product, every component read of the
+// multi-component hybrid, all four 2Bc-gskew bank reads — which is most of
+// their per-branch cost. Cycle-aware predictors cannot implement it: their
+// per-branch OnCycle interleaving needs the scalar loop.
 type BatchStepper interface {
 	StepBatch(pcs []uint64, takens []bool, measuredFrom int) (mispredicts int64)
 }

@@ -347,8 +347,17 @@ func TestInvalidConstructions(t *testing.T) {
 		func() { NewBiMode(100, 128) },
 		func() { NewGSkew2Bc(100) },
 		func() { NewMultiComponent(MCConfig{ComponentEntries: 128}) },
+		// Seven global components, local and bimodal: nine sources.
+		func() {
+			NewMultiComponent(MCConfig{BimodalEntries: 16, ComponentEntries: 64, SelectorEntries: 16,
+				HistoryLengths: []uint{1, 2, 3, 4, 5, 6, 7}, LocalHistories: 16, LocalBits: 4})
+		},
 		func() { NewPerceptron(PerceptronConfig{Entries: 0, GlobalBits: 10}) },
 		func() { NewPerceptron(PerceptronConfig{Entries: 10, GlobalBits: 0}) },
+		// The bias and both histories must fit one 64-bit sign vector.
+		func() { NewPerceptron(PerceptronConfig{Entries: 10, GlobalBits: 64}) },
+		func() { NewPerceptron(PerceptronConfig{Entries: 10, GlobalBits: 64, LocalBits: 4, LocalTables: 16}) },
+		func() { NewPerceptron(PerceptronConfig{Entries: 10, GlobalBits: 53, LocalBits: 11, LocalTables: 16}) },
 	}
 	for i, f := range cases {
 		func() {
@@ -359,6 +368,23 @@ func TestInvalidConstructions(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestMultiComponentAllocs pins the scalar Predict/Update pair of the
+// multi-component hybrid allocation-free: each branch's per-source lookup
+// lives in fixed arrays on the stack.
+func TestMultiComponentAllocs(t *testing.T) {
+	m := NewMultiComponentFromBudget(64 << 10)
+	pcs, takens := branchStream(1000)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Predict(pcs[i])
+		m.Update(pcs[i], takens[i])
+		i = (i + 1) % len(pcs)
+	})
+	if allocs != 0 {
+		t.Fatalf("MultiComponent Predict+Update allocates %.2f times per branch", allocs)
 	}
 }
 

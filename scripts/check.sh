@@ -60,12 +60,17 @@ echo "==> fused timing equivalence (RunMany vs per-cell reference, geometry guar
 go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard' ./internal/pipeline
 go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow' ./internal/experiments
 
+echo "==> fused accuracy equivalence (RunMany lanes and every BatchStepper vs the scalar protocol, packed perceptron vs textbook oracle, race-enabled)"
+go test -race -run 'TestRunManyEquivalence|TestRunManySingleLane' ./internal/funcsim
+go test -race -run 'TestStepBatchEquivalence|TestPerceptronMatchesTextbook' ./internal/predictor
+
 echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed, race-enabled)"
 go test -race ./internal/resultstore
 go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestRunCellsPanicKey' ./internal/experiments
 
 echo "==> batched-loop allocation bounds (no race: alloc counts need a plain build)"
-go test -run 'TestBatchedRunAllocs' ./internal/funcsim
+go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
+go test -run 'TestMultiComponentAllocs' ./internal/predictor
 go test -run 'TestBatchedTimingRunAllocs|TestFusedTimingAllocs' ./internal/pipeline
 
 echo "==> go test -race ./..."
