@@ -273,9 +273,9 @@ func BenchmarkAccuracySweepReplay(b *testing.B) {
 	}
 }
 
-// opaqueReplay hides every protocol but Source, forcing the accuracy
-// simulator down the instruction-at-a-time path replays used before the
-// branch fast path existed.
+// opaqueReplay hides every protocol but Source, so the accuracy simulator
+// drains it one instruction at a time (trace.FilterBranches), as replays
+// did before the branch index existed.
 type opaqueReplay struct{ src branchsim.Source }
 
 func (o opaqueReplay) Next(inst *branchsim.Inst) bool { return o.src.Next(inst) }
@@ -304,7 +304,7 @@ func BenchmarkAccuracySweepReplaySlowPath(b *testing.B) {
 // dispatch dominate. Fused runs the column as the experiment layer now
 // does: every 256-entry branch batch pulled once and fed to all lanes,
 // cheap lanes stepping through it with one BatchStepper call per batch.
-// PerCell is the identical column down the path fusion replaced: one full
+// PerCell is the identical column run one cell at a time: one full
 // batched replay per cell. Heavy lanes (perceptron, multi-component) are
 // compute-bound and gain only the shared fill; they are benchmarked by the
 // experiment benchmarks above, not gated here. ---
@@ -345,10 +345,11 @@ func BenchmarkFusedSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedSweepPerCell is the identical column down the per-cell
-// path: every lane replays the recording itself through RunAccuracy, as
-// the accuracy grids did before fusion. The ratio of this to
-// BenchmarkFusedSweep is the fused_speedup gate of BENCH_fusion.json.
+// BenchmarkFusedSweepPerCell is the identical column one cell at a time:
+// every lane replays the recording itself through RunAccuracy (a one-lane
+// RunAccuracyMany). BENCH_fusion.json records it beside the fused sweep;
+// its fused_speedup gate divides the frozen per-cell baseline in
+// scripts/bench.sh, measured on the scalar engine fusion replaced.
 func BenchmarkFusedSweepPerCell(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
 	rec := branchsim.RecordWorkload(bench, sweepInsts)
@@ -399,9 +400,9 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 // each visit at the 64KB budget, duplicates included. Fast runs it as
 // cmd/reproduce now does — stream recorded once, cache hierarchy simulated
 // once into a memory sidecar, every cell a batched replay, duplicate cells
-// served from the timing memo. Slow forces the identical cell list down the
-// pre-fast-path route: every cell simulated independently, instruction at a
-// time through the Source interface, with the full cache hierarchy live. ---
+// served from the timing memo. Slow runs the identical cell list without
+// those layers: every cell simulated independently, read through the
+// Source interface, with the full cache hierarchy live. ---
 
 // timingGridCells is the design-point cell column: 19 grid visits, 9
 // distinct simulations. Figure 7's ideal perceptron repeats Figure 2's,
@@ -481,10 +482,10 @@ func BenchmarkTimingSweepFast(b *testing.B) {
 	}
 }
 
-// BenchmarkTimingSweepSlow is the identical cell list down the old data
-// path: every cell simulated independently (no memo), every instruction
-// dispatched through the Source interface, the cache hierarchy simulated
-// live per cell. The ratio of this to BenchmarkTimingSweepFast is the
+// BenchmarkTimingSweepSlow is the identical cell list without the fast
+// path's layers: every cell simulated independently (no memo), the stream
+// read through the Source interface one instruction at a time, the cache
+// hierarchy simulated live per cell. The ratio of this to BenchmarkTimingSweepFast is the
 // fastpath speedup of BENCH_timing.json.
 func BenchmarkTimingSweepSlow(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
@@ -548,12 +549,12 @@ func BenchmarkFusedTimingSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedTimingSweepPerCell is the identical column down the
-// per-cell path fusion replaced: every lane replays the recording itself
-// through RunTimingFast (sidecar warm — this is the fast path of
-// BENCH_timing.json, not the live-cache slow path). The ratio of this to
-// BenchmarkFusedTimingSweep is the fused_speedup gate of
-// BENCH_timingfusion.json.
+// BenchmarkFusedTimingSweepPerCell is the identical column one cell at a
+// time: every lane replays the recording itself through RunTimingFast (a
+// one-lane RunTimingMany, sidecar warm). BENCH_timingfusion.json records
+// it beside the fused sweep; its fused_speedup gate divides the frozen
+// per-cell baseline in scripts/bench.sh, measured on the scalar engine
+// fusion replaced.
 func BenchmarkFusedTimingSweepPerCell(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
 	rec := branchsim.RecordWorkload(bench, timingSweepInsts)

@@ -218,7 +218,7 @@ type TimingResult = pipeline.Result
 // RunTiming replays a workload through the pipeline model with the given
 // predictor organization.
 func RunTiming(cfg MachineConfig, p Predictor, g Generator, maxInsts, warmupInsts int64) TimingResult {
-	return pipeline.New(cfg, p).Run(g, maxInsts, warmupInsts)
+	return pipeline.Run(cfg, p, g, nil, maxInsts, warmupInsts)
 }
 
 // MemSidecar is a precomputed memory-hierarchy outcome column for one
@@ -240,9 +240,7 @@ func NewMemSidecar(rec *Recording, cfg MachineConfig) *MemSidecar {
 // must come from NewMemSidecar(rec, cfg); one that does not cover the run
 // is ignored and the live hierarchy is simulated instead.
 func RunTimingFast(cfg MachineConfig, p Predictor, rec *Recording, side *MemSidecar, maxInsts, warmupInsts int64) TimingResult {
-	sim := pipeline.New(cfg, p)
-	sim.SetMemSidecar(side)
-	return sim.Run(rec.Replay(), maxInsts, warmupInsts)
+	return pipeline.Run(cfg, p, rec.Replay(), side, maxInsts, warmupInsts)
 }
 
 // TimingLane is one (machine config, predictor organization) cell of a

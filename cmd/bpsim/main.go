@@ -55,6 +55,11 @@ func main() {
 		return
 	}
 
+	if *insts > 0 && *warmup >= *insts {
+		fmt.Fprintf(os.Stderr, "bpsim: -warmup (%d) must be below -insts (%d)\n", *warmup, *insts)
+		os.Exit(2)
+	}
+
 	profiles, err := selectProfiles(*benchmarks)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -78,7 +83,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			src := store.Source(
+			var src trace.Source = store.Source(
 				tracestore.Key{Name: prof.Name, Seed: prof.Seed, Insts: *insts},
 				func() trace.Source { return workload.New(prof) })
 			if *perClass {

@@ -51,6 +51,11 @@ func main() {
 	}
 	defer stopProf()
 
+	if *insts > 0 && *warmup >= *insts {
+		fmt.Fprintf(os.Stderr, "ipcsim: -warmup (%d) must be below -insts (%d)\n", *warmup, *insts)
+		os.Exit(2)
+	}
+
 	profiles, err := selectProfiles(*benchmarks)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -78,9 +83,8 @@ func main() {
 			key := tracestore.Key{Name: prof.Name, Seed: prof.Seed, Insts: *insts}
 			gen := func() trace.Source { return workload.New(prof) }
 			src := store.Source(key, gen)
-			sim := pipeline.New(cfg, p)
-			sim.SetMemSidecar(store.MemSidecar(key, pipeline.MemGeometryOf(cfg), gen))
-			res := sim.Run(src, *insts, *warmup)
+			side := store.MemSidecar(key, pipeline.MemGeometryOf(cfg), gen)
+			res := pipeline.Run(cfg, p, src, side, *insts, *warmup)
 			ipcs = append(ipcs, res.IPC())
 			extra := ""
 			if res.OverrideRate > 0 {

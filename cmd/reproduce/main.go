@@ -13,10 +13,7 @@
 // store (-store) does not change stdout either — store-served cells are
 // bit-identical to fresh simulation — it only makes reruns incremental: a
 // second run serves every cell from disk, and a config tweak recomputes
-// only the cells whose canonical identity changed. Likewise -nofuse: the
-// grid-fused accuracy sweeps (one trace pass per benchmark feeding every
-// predictor lane) are an execution strategy, not an identity, and both
-// modes print the same bytes.
+// only the cells whose canonical identity changed.
 package main
 
 import (
@@ -44,7 +41,6 @@ func main() {
 		timings    = flag.Bool("timings", false, "print per-experiment wall-clock timings to stderr")
 		storeDir   = flag.String("store", ".resultstore", "persistent result-store directory (cells served from and written back to disk)")
 		nostore    = flag.Bool("nostore", false, "disable the persistent result store; every cell simulates in-process")
-		nofuse     = flag.Bool("nofuse", false, "disable grid-fused accuracy sweeps; every accuracy cell walks its own trace pass")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this path")
 	)
@@ -64,6 +60,11 @@ func main() {
 		return
 	}
 
+	if err := (experiments.Options{Insts: *insts, Warmup: *warmup}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
 	var store *resultstore.Store
 	if !*nostore && *storeDir != "" {
 		store, err = resultstore.Open(*storeDir)
@@ -73,11 +74,7 @@ func main() {
 		}
 	}
 
-	fuse := experiments.FuseAuto
-	if *nofuse {
-		fuse = experiments.FuseOff
-	}
-	opts := experiments.Options{Insts: *insts, Warmup: *warmup, Parallel: *parallel, Store: store, Fuse: fuse}
+	opts := experiments.Options{Insts: *insts, Warmup: *warmup, Parallel: *parallel, Store: store}
 	ids := experiments.IDs()
 	if *experiment != "all" {
 		ids = strings.Split(*experiment, ",")

@@ -134,10 +134,9 @@ func (m *AccuracyMemo) cell(kind, org, sim string, budget int, prof workload.Pro
 }
 
 // storedCompute resolves one cold cell's computation through the
-// persistent store when one is configured — the solo compute every
-// execution mode shares: cell()'s memo-miss path, the fused scheduler's
-// fallback for entries another experiment already owns, and the FuseOff
-// lowering all bottom out here.
+// persistent store when one is configured — the solo compute shared by
+// cell()'s memo-miss path and the fused scheduler's fallback for entries
+// another experiment already owns.
 func storedCompute(key accuracyKey, prof workload.Profile, opts Options, compute func() funcsim.Result) funcsim.Result {
 	if opts.Store == nil {
 		return compute()
@@ -168,20 +167,12 @@ func specKey(s accuracySpec, opts Options) accuracyKey {
 	}
 }
 
-// runSpec simulates spec s alone — the per-cell reference path whose
-// results the fused pass must reproduce bit for bit.
+// runSpec simulates spec s alone, for an entry the fused scheduler does
+// not own.
 func runSpec(s accuracySpec, opts Options) funcsim.Result {
 	return funcsim.Run(s.build(), source(s.prof, opts), funcsim.Options{
 		MaxInsts:    opts.Insts,
 		WarmupInsts: opts.Warmup,
-	})
-}
-
-// specCell resolves one accuracy spec per-cell through the full
-// memo → store → simulate tier — the FuseOff lowering.
-func (m *AccuracyMemo) specCell(s accuracySpec, opts Options) funcsim.Result {
-	return m.cell(s.kind, s.org, "", s.budget, s.prof, opts, func() funcsim.Result {
-		return runSpec(s, opts)
 	})
 }
 

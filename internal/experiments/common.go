@@ -26,7 +26,7 @@ var traceStore = tracestore.New()
 
 // source returns a replay cursor over prof's memoized recording at
 // opts.Insts instructions.
-func source(prof workload.Profile, opts Options) trace.Source {
+func source(prof workload.Profile, opts Options) *trace.Cursor {
 	key := tracestore.Key{Name: prof.Name, Seed: prof.Seed, Insts: opts.Insts}
 	return traceStore.Source(key, func() trace.Source { return workload.New(prof) })
 }
@@ -67,25 +67,6 @@ func SidecarStats() (sidecars int, bytes int64) {
 	return traceStore.SidecarLen(), traceStore.SidecarSizeBytes()
 }
 
-// FuseMode selects how a plan's accuracy and timing cells execute. It is
-// an execution strategy, not an identity: both modes publish bit-identical
-// Results under the same canonical keys (TestFusedEquivalence,
-// TestFusedTimingPlan), so the knob exists only for A/B timing and for
-// falling back if a platform ever misbehaves.
-type FuseMode int
-
-const (
-	// FuseAuto — the zero value, so fusion is the default — groups a
-	// plan's cold accuracy cells by benchmark and its cold timing cells by
-	// (benchmark, cache geometry), and runs each group through one fused
-	// trace pass (funcsim.RunMany / pipeline.RunMany): one cursor walk
-	// feeds every lane of the group.
-	FuseAuto FuseMode = iota
-	// FuseOff lowers every accuracy and timing cell to its own per-cell
-	// run, the pre-fusion schedule (cmd/reproduce -nofuse).
-	FuseOff
-)
-
 // Options configures an experiment run.
 type Options struct {
 	// Insts is the dynamic instruction budget per benchmark; Warmup
@@ -102,10 +83,16 @@ type Options struct {
 	// fresh computes are written back, making reruns incremental across
 	// processes. Nil keeps everything in-memory.
 	Store *resultstore.Store
-	// Fuse selects the accuracy and timing cells' execution strategy; the
-	// zero value (FuseAuto) runs them grid-fused, one trace pass per
-	// group.
-	Fuse FuseMode
+}
+
+// Validate reports a window the simulators cannot measure: a warm-up that
+// would leave no instruction after it, once defaults are applied.
+func (o Options) Validate() error {
+	n := o.normalize()
+	if n.Warmup >= n.Insts {
+		return fmt.Errorf("experiments: warm-up (%d) must be below the instruction budget (%d)", n.Warmup, n.Insts)
+	}
+	return nil
 }
 
 func (o Options) normalize() Options {
@@ -182,12 +169,10 @@ func mustOverriding(kind string, budgetBytes int) *core.Overriding {
 
 // timingRunCfg runs a fresh predictor organization built by build on
 // prof's recorded stream under an explicit machine config, with the
-// memoized memory-latency sidecar attached (the Sim falls back to live
+// memoized memory-latency sidecar attached (the engine falls back to live
 // caches whenever the sidecar does not cover the run exactly).
 func timingRunCfg(cfg pipeline.Config, build func() predictor.Predictor, prof workload.Profile, opts Options) pipeline.Result {
-	sim := pipeline.New(cfg, build())
-	sim.SetMemSidecar(sidecar(prof, opts, cfg))
-	return sim.Run(source(prof, opts), opts.Insts, opts.Warmup)
+	return pipeline.Run(cfg, build(), source(prof, opts), sidecar(prof, opts, cfg), opts.Insts, opts.Warmup)
 }
 
 // budgetLabel renders a budget the way the paper's x axes do.

@@ -6,11 +6,10 @@ import (
 	"branchsim/internal/funcsim"
 	"branchsim/internal/pipeline"
 	"branchsim/internal/resultstore"
-	"branchsim/internal/trace"
 )
 
-// This file is the fused scheduler: the execution strategy behind
-// plan.execute's FuseAuto lowering, for both cell families. A plan's
+// This file is the fused scheduler behind plan.execute, for both cell
+// families. A plan's
 // accuracy specs arrive grouped by benchmark and its timing specs by
 // (benchmark, cache geometry); each group resolves through the same tiers a
 // per-cell run would — in-process memo, then the persistent store — and
@@ -19,7 +18,7 @@ import (
 // changes only when simulations happen, never what they compute or how
 // they are keyed: every lane's Result is published into the memo and the
 // store under its unchanged per-cell canonical key, so a warm rerun, a
-// -nofuse rerun, and a fused run are interchangeable byte for byte
+// per-cell lookup, and a fused run are interchangeable byte for byte
 // (TestFusedEquivalence, TestFusedStoreFlow, TestFusedTimingPlan).
 //
 // The two schedulers share all lane/group/publish machinery below; they
@@ -32,7 +31,7 @@ import (
 // groups actually simulated (groups whose memo and store tiers left at
 // least one cold lane), how many lanes those passes carried, and how each
 // declared cell was ultimately served — from a fused lane, or solo (memo
-// or store tier, or per-cell fallback). The accuracy and timing schedulers
+// or store tier). The accuracy and timing schedulers
 // each keep their own instance.
 type FusionCounters struct {
 	mu     sync.Mutex
@@ -122,9 +121,8 @@ type fusedGroupParams[S, R any] struct {
 	// without a store.
 	put func(S, R)
 	// runCold is the fused pass over the residual cold specs, returning
-	// results index-aligned with them; false when the source cannot fuse,
-	// sending the lanes to the per-cell fallback.
-	runCold func(specs []S) ([]R, bool)
+	// results index-aligned with them.
+	runCold func(specs []S) []R
 }
 
 // runFusedGroupOf resolves one group: memo tier, store tier, then one
@@ -161,16 +159,7 @@ func runFusedGroupOf[S, R any](p fusedGroupParams[S, R], fc *FusionCounters, spe
 	for i, l := range cold {
 		coldSpecs[i] = l.spec
 	}
-	results, ok := p.runCold(coldSpecs)
-	if !ok {
-		// A source without the fused protocol cannot fuse; resolve the
-		// lanes per-cell — identical results, just one pass each.
-		for _, l := range cold {
-			l.publish(func() R { return p.solo(l.spec) })
-			fc.add(0, 0, 0, int64(len(l.sinks)))
-		}
-		return
-	}
+	results := p.runCold(coldSpecs)
 	var fusedCells int64
 	for i, l := range cold {
 		res := l.publish(func() R { return results[i] })
@@ -214,20 +203,15 @@ func runFusedGroup(m *AccuracyMemo, fc *FusionCounters, specs []accuracySpec, op
 			skey := specKey(s, opts).storeKey(digest)
 			opts.Store.Put(skey, resultstore.Record{Key: skey, Accuracy: &res})
 		},
-		runCold: func(ss []accuracySpec) ([]funcsim.Result, bool) {
-			src := source(ss[0].prof, opts)
-			bs, ok := src.(trace.BranchSource)
-			if !ok {
-				return nil, false
-			}
+		runCold: func(ss []accuracySpec) []funcsim.Result {
 			fl := make([]funcsim.Lane, len(ss))
 			for i, s := range ss {
 				fl[i] = funcsim.Lane{P: s.build()}
 			}
-			return funcsim.RunMany(fl, bs, funcsim.Options{
+			return funcsim.RunMany(fl, source(ss[0].prof, opts), funcsim.Options{
 				MaxInsts:    opts.Insts,
 				WarmupInsts: opts.Warmup,
-			}), true
+			})
 		},
 	}, fc, specs)
 }
@@ -268,16 +252,13 @@ func runFusedTimingGroup(m *TimingMemo, fc *FusionCounters, specs []timingSpec, 
 			skey := specTimingKey(s, opts).storeKey(digest)
 			opts.Store.Put(skey, resultstore.Record{Key: skey, Timing: &res})
 		},
-		runCold: func(ss []timingSpec) ([]pipeline.Result, bool) {
-			// pipeline.RunMany accepts any source — it simulates per-lane
-			// live caches when the sidecar does not cover the run — so the
-			// timing scheduler never needs the per-cell fallback.
+		runCold: func(ss []timingSpec) []pipeline.Result {
 			lanes := make([]pipeline.Lane, len(ss))
 			for i, s := range ss {
 				lanes[i] = pipeline.Lane{Cfg: s.cfg, Pred: s.build()}
 			}
 			return pipeline.RunMany(lanes, source(ss[0].prof, opts),
-				sidecar(ss[0].prof, opts, ss[0].cfg), opts.Insts, opts.Warmup), true
+				sidecar(ss[0].prof, opts, ss[0].cfg), opts.Insts, opts.Warmup)
 		},
 	}, fc, specs)
 }

@@ -36,28 +36,29 @@ func fusionGrid(plan *cellPlan, kinds []string, budgets []int, nBench int) []fun
 }
 
 // TestFusedEquivalence is the fused scheduler's correctness contract at
-// the plan level: the same grid executed fused and per-cell (FuseOff) must
-// fill every sink with bit-identical Results. The kind mix covers all
-// three lane shapes — batch-stepping (gshare), heavy scalar (perceptron),
-// and cycle-aware (gshare.fast).
+// the plan level: every sink of a grid executed through the plan must
+// receive the Result of a direct funcsim.Run of its cell. The kind mix
+// covers all three lane shapes — batch-stepping (gshare), heavy scalar
+// (perceptron), and cycle-aware (gshare.fast).
 func TestFusedEquivalence(t *testing.T) {
 	kinds := []string{"gshare", "perceptron", "gshare.fast"}
 	budgets := []int{4 << 10, 32 << 10}
 	const nBench = 3
-	var fusedPlan, soloPlan cellPlan
+	var fusedPlan cellPlan
 	fused := fusionGrid(&fusedPlan, kinds, budgets, nBench)
-	solo := fusionGrid(&soloPlan, kinds, budgets, nBench)
 
 	fc := &FusionCounters{}
 	fusedPlan.executeWith(fusionTestOpts, NewAccuracyMemo(), NewTimingMemo(), fc, &FusionCounters{})
-	off := fusionTestOpts
-	off.Fuse = FuseOff
-	soloPlan.executeWith(off, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
 
-	for i := range fused {
-		if !reflect.DeepEqual(fused[i], solo[i]) {
+	opts := fusionTestOpts.normalize()
+	for i, s := range fusedPlan.acc {
+		solo := funcsim.Run(s.build(), source(s.prof, opts), funcsim.Options{
+			MaxInsts:    opts.Insts,
+			WarmupInsts: opts.Warmup,
+		})
+		if !reflect.DeepEqual(fused[i], solo) {
 			t.Errorf("cell %d diverges between fused and per-cell execution:\n got %+v\nwant %+v",
-				i, fused[i], solo[i])
+				i, fused[i], solo)
 		}
 	}
 	groups, lanes, fusedCells, soloCells := fc.stats()
@@ -111,8 +112,8 @@ func TestFusedMemoAccounting(t *testing.T) {
 // exact parity with the per-cell Do path: a cold fused run misses and
 // writes once per distinct cell, a warm rerun (fresh memo, second store
 // over the same directory — a stand-in for a second process) serves every
-// cell from disk and runs zero fused passes, and a -nofuse rerun reads the
-// fused run's cells bit-identically.
+// cell from disk and runs zero fused passes, and per-cell lookups through
+// the memo's Do path read the fused run's cells bit-identically.
 func TestFusedStoreFlow(t *testing.T) {
 	kinds := []string{"gshare", "2bcgskew"}
 	budgets := []int{16 << 10}
@@ -157,14 +158,18 @@ func TestFusedStoreFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Store = st3
-	opts.Fuse = FuseOff
-	var soloPlan cellPlan
-	solo := fusionGrid(&soloPlan, kinds, budgets, nBench)
-	soloPlan.executeWith(opts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
+	memo := NewAccuracyMemo()
+	solo := make([]funcsim.Result, len(coldPlan.acc))
+	for i, s := range coldPlan.acc {
+		solo[i] = memo.cell(s.kind, s.org, "", s.budget, s.prof, opts, func() funcsim.Result {
+			t.Errorf("cell %d simulated instead of reading the store", i)
+			return runSpec(s, opts)
+		})
+	}
 	if s := st3.Stats(); s.Hits != nCells {
-		t.Fatalf("-nofuse rerun store traffic = %+v, want %d hits", s, nCells)
+		t.Fatalf("per-cell rerun store traffic = %+v, want %d hits", s, nCells)
 	}
 	if !reflect.DeepEqual(solo, cold) {
-		t.Fatalf("-nofuse cells diverge from the fused store's records:\n%+v\n%+v", solo, cold)
+		t.Fatalf("per-cell lookups diverge from the fused store's records:\n%+v\n%+v", solo, cold)
 	}
 }

@@ -73,27 +73,24 @@ func (p *cellPlan) add(key string, run func()) {
 }
 
 // addAccuracy declares one standard accuracy cell (sim = "": plain
-// funcsim.Run semantics), published under exactly the same canonical key
-// whether it later executes fused or per-cell. Accuracy cells with extra
-// simulator shape (RunBlocks) or diagnostics (PerClass) stay on add;
-// RunMany does not carry their state.
+// funcsim.Run semantics), published under the same canonical key a
+// per-cell lookup uses. Accuracy cells with extra simulator shape
+// (RunBlocks) stay on add.
 func (p *cellPlan) addAccuracy(kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, sink func(funcsim.Result)) {
 	p.acc = append(p.acc, accuracySpec{kind: kind, org: org, budget: budget, build: build, prof: prof, sink: sink})
 }
 
-// addTiming declares one timing cell on machine cfg, published under
-// exactly the same canonical key whether it later executes fused or
-// per-cell. As with cellCustom, callers must ensure that equal
-// (cfg.Canonical, kind, org, budget) always denotes an identical
-// construction.
+// addTiming declares one timing cell on machine cfg, published under the
+// same canonical key a per-cell lookup uses. As with cellCustom, callers
+// must ensure that equal (cfg.Canonical, kind, org, budget) always denotes
+// an identical construction.
 func (p *cellPlan) addTiming(cfg pipeline.Config, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, sink func(pipeline.Result)) {
 	p.tim = append(p.tim, timingSpec{kind: kind, org: org, budget: budget, cfg: cfg, build: build, prof: prof, sink: sink})
 }
 
 // execute runs the plan: plain cells as scheduled, accuracy and timing
-// specs lowered to fused groups (FuseAuto) or to per-cell runs (FuseOff).
-// Both lowerings resolve through the same memo and store tiers under the
-// same keys, so the mode is invisible to results and caches.
+// specs lowered to fused groups, each resolving through the memo and store
+// tiers under its per-cell key.
 func (p *cellPlan) execute(opts Options) {
 	p.executeWith(opts, accuracyMemo, timingMemo, fusionCounters, timingFusionCounters)
 }
@@ -103,32 +100,17 @@ func (p *cellPlan) execute(opts Options) {
 func (p *cellPlan) executeWith(opts Options, memo *AccuracyMemo, tmemo *TimingMemo, fc, tfc *FusionCounters) {
 	opts = opts.normalize()
 	cells := p.cells
-	if opts.Fuse == FuseOff {
-		for _, s := range p.acc {
-			cells = append(cells, PlannedCell{
-				Key: planKey("accuracy", s.kind, s.org, s.budget, s.prof.Name),
-				Run: func() { s.sink(memo.specCell(s, opts)) },
-			})
-		}
-		for _, s := range p.tim {
-			cells = append(cells, PlannedCell{
-				Key: planKey("timing", s.kind, s.org, s.budget, s.prof.Name),
-				Run: func() { s.sink(tmemo.specCell(s, opts)) },
-			})
-		}
-	} else {
-		for _, g := range groupSpecs(p.acc, func(s accuracySpec) string { return s.prof.Name }) {
-			cells = append(cells, PlannedCell{
-				Key: fmt.Sprintf("accuracy.fused|bench=%s|lanes=%d", g[0].prof.Name, len(g)),
-				Run: func() { runFusedGroup(memo, fc, g, opts) },
-			})
-		}
-		for _, g := range groupSpecs(p.tim, timingGroupKey) {
-			cells = append(cells, PlannedCell{
-				Key: fmt.Sprintf("timing.fused|bench=%s|lanes=%d", g[0].prof.Name, len(g)),
-				Run: func() { runFusedTimingGroup(tmemo, tfc, g, opts) },
-			})
-		}
+	for _, g := range groupSpecs(p.acc, func(s accuracySpec) string { return s.prof.Name }) {
+		cells = append(cells, PlannedCell{
+			Key: fmt.Sprintf("accuracy.fused|bench=%s|lanes=%d", g[0].prof.Name, len(g)),
+			Run: func() { runFusedGroup(memo, fc, g, opts) },
+		})
+	}
+	for _, g := range groupSpecs(p.tim, timingGroupKey) {
+		cells = append(cells, PlannedCell{
+			Key: fmt.Sprintf("timing.fused|bench=%s|lanes=%d", g[0].prof.Name, len(g)),
+			Run: func() { runFusedTimingGroup(tmemo, tfc, g, opts) },
+		})
 	}
 	RunCells(opts.Parallel, cells)
 }

@@ -45,27 +45,26 @@ func timingFusionGrid(plan *cellPlan, depths []int, kinds []string, nBench int) 
 }
 
 // TestFusedTimingPlan is the fused timing scheduler's correctness contract
-// at the plan level: the same grid executed fused and per-cell (FuseOff)
-// must fill every sink with bit-identical Results, and the fused execution
-// must run exactly one pass per (benchmark, geometry) group.
+// at the plan level: every sink of a grid executed through the plan must
+// receive the Result of a direct pipeline.Run of its cell (with no
+// sidecar), and the fused execution must run exactly one pass per
+// (benchmark, geometry) group.
 func TestFusedTimingPlan(t *testing.T) {
 	depths := []int{14, 26}
 	kinds := []string{"gshare", "gshare.fast"}
 	const nBench = 3
-	var fusedPlan, soloPlan cellPlan
+	var fusedPlan cellPlan
 	fused := timingFusionGrid(&fusedPlan, depths, kinds, nBench)
-	solo := timingFusionGrid(&soloPlan, depths, kinds, nBench)
 
 	tfc := &FusionCounters{}
 	fusedPlan.executeWith(timingFusionTestOpts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, tfc)
-	off := timingFusionTestOpts
-	off.Fuse = FuseOff
-	soloPlan.executeWith(off, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
 
-	for i := range fused {
-		if !reflect.DeepEqual(fused[i], solo[i]) {
+	opts := timingFusionTestOpts.normalize()
+	for i, s := range fusedPlan.tim {
+		solo := pipeline.Run(s.cfg, s.build(), source(s.prof, opts), nil, opts.Insts, opts.Warmup)
+		if !reflect.DeepEqual(fused[i], solo) {
 			t.Errorf("cell %d diverges between fused and per-cell execution:\n got %+v\nwant %+v",
-				i, fused[i], solo[i])
+				i, fused[i], solo)
 		}
 	}
 	groups, lanes, fusedCells, soloCells := tfc.stats()
@@ -152,8 +151,9 @@ func TestFusedTimingMemoAccounting(t *testing.T) {
 // store flow has exact parity with the per-cell Do path: a cold fused run
 // misses and writes once per distinct cell, a warm rerun (fresh memo,
 // second store over the same directory — a stand-in for a second process)
-// serves every cell from disk and runs zero fused passes, and a -nofuse
-// rerun reads the fused run's cells bit-identically.
+// serves every cell from disk and runs zero fused passes, and per-cell
+// lookups through the memo's Do path read the fused run's cells
+// bit-identically.
 func TestFusedTimingStoreFlow(t *testing.T) {
 	depths := []int{22}
 	kinds := []string{"gshare", "2bcgskew"}
@@ -198,14 +198,18 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Store = st3
-	opts.Fuse = FuseOff
-	var soloPlan cellPlan
-	solo := timingFusionGrid(&soloPlan, depths, kinds, nBench)
-	soloPlan.executeWith(opts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
+	tmemo := NewTimingMemo()
+	solo := make([]pipeline.Result, len(coldPlan.tim))
+	for i, s := range coldPlan.tim {
+		solo[i] = tmemo.cellCustom(s.cfg, s.kind, s.org, s.budget, func() predictor.Predictor {
+			t.Errorf("cell %d simulated instead of reading the store", i)
+			return s.build()
+		}, s.prof, opts)
+	}
 	if s := st3.Stats(); s.Hits != nCells {
-		t.Fatalf("-nofuse rerun store traffic = %+v, want %d hits", s, nCells)
+		t.Fatalf("per-cell rerun store traffic = %+v, want %d hits", s, nCells)
 	}
 	if !reflect.DeepEqual(solo, cold) {
-		t.Fatalf("-nofuse cells diverge from the fused store's records:\n%+v\n%+v", solo, cold)
+		t.Fatalf("per-cell lookups diverge from the fused store's records:\n%+v\n%+v", solo, cold)
 	}
 }

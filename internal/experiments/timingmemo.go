@@ -157,8 +157,8 @@ func (m *TimingMemo) cellCustom(cfg pipeline.Config, kind, org string, budget in
 
 // storedComputeTiming resolves one cold cell's computation through the
 // persistent store when one is configured — the timing counterpart of
-// storedCompute, shared by cellCustom's memo-miss path, the fused
-// scheduler's preowned fallback, and the FuseOff lowering.
+// storedCompute, shared by cellCustom's memo-miss path and the fused
+// scheduler's preowned fallback.
 func storedComputeTiming(key timingKey, prof workload.Profile, opts Options, compute func() pipeline.Result) pipeline.Result {
 	if opts.Store == nil {
 		return compute()
@@ -189,12 +189,6 @@ func specTimingKey(s timingSpec, opts Options) timingKey {
 		warmup: opts.Warmup,
 		cfg:    s.cfg.Canonical(),
 	}
-}
-
-// specCell resolves one timing spec per-cell through the full
-// memo → store → simulate tier — the FuseOff lowering.
-func (m *TimingMemo) specCell(s timingSpec, opts Options) pipeline.Result {
-	return m.cellCustom(s.cfg, s.kind, s.org, s.budget, s.build, s.prof, opts)
 }
 
 // acquireLanes is the fused timing scheduler's memo tier, the timing

@@ -51,8 +51,8 @@ func TestTimingMemoConcurrentStress(t *testing.T) {
 	refs := make([]pipeline.Result, len(specs))
 	for i, sp := range specs {
 		rec := workload.Record(sp.prof, stressOpts.Insts)
-		sim := pipeline.New(pipeline.DefaultConfig(), buildTimed(sp.kind, budget, sp.mode))
-		refs[i] = sim.Run(rec.Replay(), stressOpts.Insts, stressOpts.Warmup)
+		refs[i] = pipeline.Run(pipeline.DefaultConfig(), buildTimed(sp.kind, budget, sp.mode),
+			rec.Replay(), nil, stressOpts.Insts, stressOpts.Warmup)
 	}
 
 	// Sidecar references: the memoized sidecar must be pointer-stable

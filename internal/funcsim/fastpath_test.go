@@ -10,16 +10,15 @@ import (
 	"branchsim/internal/workload"
 )
 
-// opaqueSrc hides every protocol but Source, forcing Run and RunBlocks down
-// the instruction-at-a-time slow path — the reference the fast path must
-// match bit for bit.
+// opaqueSrc hides every protocol but Source, so Run and RunBlocks drain it
+// one instruction at a time through trace.FilterBranches.
 type opaqueSrc struct{ src trace.Source }
 
 func (o opaqueSrc) Next(inst *trace.Inst) bool { return o.src.Next(inst) }
 func (o opaqueSrc) Name() string               { return o.src.Name() }
 
 // opaqueClassified additionally keeps the branch classifier visible, so
-// PerClass runs stay comparable across the two paths.
+// PerClass runs stay comparable across the source shapes.
 type opaqueClassified struct {
 	opaqueSrc
 	c BranchClassifier
@@ -38,12 +37,13 @@ func mustProfile(t *testing.T, name string) workload.Profile {
 	return prof
 }
 
-// TestFastPathEquivalenceRun is the tentpole's correctness contract: the
-// batched branch fast path must reproduce the slow instruction-at-a-time
-// loop bit for bit — across benchmarks, for a plain predictor and for a
-// cycle-aware one (whose fetch clock the fast path reconstructs from
-// InstIndex), from a replayed recording and from a live generator, whether
-// the run ends at the instruction budget or at the end of the stream.
+// TestFastPathEquivalenceRun pins the source shapes against each other: a
+// replay cursor's branch index, a live generator's own filter, and an
+// opaque Source drained through trace.FilterBranches must give the same
+// Result bit for bit — across benchmarks, for a plain predictor and for a
+// cycle-aware one (whose fetch clock is reconstructed from InstIndex),
+// whether the run ends at the instruction budget or at the end of the
+// stream.
 func TestFastPathEquivalenceRun(t *testing.T) {
 	predictors := []struct {
 		name string
@@ -102,7 +102,7 @@ func TestFastPathEquivalenceRun(t *testing.T) {
 }
 
 // TestFastPathEquivalencePerClass pins the per-class diagnostic rates across
-// the two paths, including the class map contents.
+// source shapes, including the class map contents.
 func TestFastPathEquivalencePerClass(t *testing.T) {
 	prof := mustProfile(t, "gzip")
 	rec := workload.Record(prof, 200_000)
@@ -125,9 +125,9 @@ func TestFastPathEquivalencePerClass(t *testing.T) {
 	}
 }
 
-// TestFastPathEquivalenceBlocks pins the block-grouped protocol: block
-// boundaries (fetch-cycle changes, full blocks) reconstructed from InstIndex
-// must regroup the branches exactly as the slow loop does.
+// TestFastPathEquivalenceBlocks pins the block-grouped protocol across
+// source shapes: block boundaries (fetch-cycle changes, full blocks)
+// reconstructed from InstIndex must group the branches identically.
 func TestFastPathEquivalenceBlocks(t *testing.T) {
 	opts := Options{MaxInsts: 150_000, WarmupInsts: 40_000, FetchWidth: 8, BlockBranches: 4}
 	for _, bench := range []string{"gzip", "mcf", "twolf"} {
@@ -144,26 +144,27 @@ func TestFastPathEquivalenceBlocks(t *testing.T) {
 	}
 }
 
-// TestBatchedRunAllocs pins the steady-state allocation count of the
-// batched accuracy loop at zero: the batch buffer lives on the driver's
-// stack (Run devirtualizes the replay cursor) and the run state is
-// stack-allocated, so sweeping a predictor grid over a recorded trace costs
-// no garbage per cell. Skipped under -race, which instruments allocation.
+// TestBatchedRunAllocs pins the one-lane path the per-cell experiment
+// cells take: Run over a replay cursor allocates only its setup (the lane
+// state and the result), so a 5x longer stream allocates exactly as much
+// as a short one. Skipped under -race, which instruments allocation.
 func TestBatchedRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	prof := mustProfile(t, "gzip")
-	rec := workload.Record(prof, 100_000)
-	cur := rec.Replay()
 	p := predictor.NewGShareFromBudget(16 << 10)
 	opts := Options{MaxInsts: 100_000, WarmupInsts: 20_000}
-	Run(p, cur, opts) // warm the predictor's lazy state, if any
-	allocs := testing.AllocsPerRun(10, func() {
-		cur.Reset()
-		Run(p, cur, opts)
-	})
-	if allocs != 0 {
-		t.Fatalf("batched Run allocates %.1f objects per run, want 0", allocs)
+	measure := func(rec *trace.Recording) float64 {
+		cur := rec.Replay()
+		return testing.AllocsPerRun(10, func() {
+			cur.Reset()
+			Run(p, cur, opts)
+		})
+	}
+	short, long := workload.Record(prof, 20_000), workload.Record(prof, 100_000)
+	Run(p, long.Replay(), opts) // warm the predictor's lazy state, if any
+	if a, b := measure(short), measure(long); a != b {
+		t.Fatalf("Run allocates per batch: %.1f allocs on a short stream, %.1f on a long one", a, b)
 	}
 }

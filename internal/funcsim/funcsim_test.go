@@ -1,6 +1,7 @@
 package funcsim
 
 import (
+	"strings"
 	"testing"
 
 	"branchsim/internal/core"
@@ -156,5 +157,37 @@ func TestCycleAwareReceivesClock(t *testing.T) {
 	res := Run(g, workload.New(prof), Options{MaxInsts: 200000, FetchWidth: 4})
 	if res.Branches == 0 || res.MispredictRate() > 0.5 {
 		t.Fatalf("suspicious result: %+v", res)
+	}
+}
+
+// TestWarmupPastBudgetPanics pins the rejection of a window with nothing
+// left to measure, with a package-prefixed message, on every entry point —
+// including the default budget an unset MaxInsts resolves to.
+func TestWarmupPastBudgetPanics(t *testing.T) {
+	rec := workload.Record(mustProfile(t, "gzip"), 10_000)
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"Run at budget", func() {
+			Run(predictor.Taken{}, rec.Replay(), Options{MaxInsts: 5_000, WarmupInsts: 5_000})
+		}},
+		{"RunMany past budget", func() {
+			RunMany([]Lane{{P: predictor.Taken{}}}, rec.Replay(), Options{MaxInsts: 5_000, WarmupInsts: 9_000})
+		}},
+		{"RunBlocks at default budget", func() {
+			RunBlocks(core.New(core.Config{Entries: 1 << 10, Latency: 1}), "blk", rec.Replay(), Options{WarmupInsts: 1_000_000})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "funcsim: ") {
+					t.Fatalf("panic %q, want a funcsim: message", msg)
+				}
+			}()
+			tc.run()
+		})
 	}
 }

@@ -2,18 +2,18 @@ package funcsim
 
 import (
 	"branchsim/internal/predictor"
+	"branchsim/internal/stats"
 	"branchsim/internal/trace"
 )
 
-// This file is the grid-fused accuracy driver: one trace pass feeds every
-// predictor in a sweep. Run (funcsim.go) walks the stream once per cell;
-// with batch fill at a few ns/branch that walk is cheap, but it is still
-// repeated per (kind, budget) cell, and so is the per-branch dispatch
-// overhead of the Predict/Update protocol. RunMany pulls each 256-entry
-// branch batch once and feeds it to every lane before advancing the
-// cursor, so the fill cost amortizes over the whole grid column and every
-// predictor that implements BatchStepper steps through the batch with one
-// call instead of two interface calls per branch.
+// This file is the accuracy engine: one trace pass feeds every predictor
+// in a sweep. RunMany pulls each 256-entry branch batch once and feeds it
+// to every lane before advancing the cursor, so the fill cost amortizes
+// over the whole grid column and every predictor that implements
+// BatchStepper steps through the batch with one call instead of two
+// interface calls per branch. Run is the one-lane case. The obviously
+// correct per-branch reference the engine is tested against lives in
+// oracle_test.go.
 
 // A Lane is one predictor's slot in a fused RunMany sweep. Each lane gets
 // its own fresh predictor, exactly as if it were run through Run alone.
@@ -22,29 +22,29 @@ type Lane struct {
 }
 
 // RunMany streams src through every lane's predictor in one pass and
-// returns one Result per lane, in lane order. Each lane's Result is
-// bit-identical to what Run(lane.P, src, opts) would return over its own
-// cursor on the same stream (TestRunManyEquivalence): fusion is an
-// execution strategy, not an observable one. Cycle-aware predictors see
-// the same InstIndex-reconstructed fetch clock as in Run, advanced
-// per-lane. The PerClass diagnostic is a per-cell concern and is ignored
-// here; fused callers run diagnostic cells through Run.
+// returns one Result per lane, in lane order; each equals what Run would
+// return for that lane alone over its own cursor on the same stream.
+// Cycle-aware predictors see a fetch clock reconstructed from each
+// branch's InstIndex, advanced per lane. With Options.PerClass and a src
+// implementing BranchClassifier, every lane fills Result.ClassRates.
 func RunMany(lanes []Lane, src trace.BranchSource, opts Options) []Result {
-	if opts.MaxInsts <= 0 {
-		opts.MaxInsts = 1_000_000
-	}
-	if opts.FetchWidth <= 0 {
-		opts.FetchWidth = 3
-	}
-	r := newFusedRun(lanes, opts)
+	opts = opts.withDefaults(3)
 	// BranchSource is the batch protocol alone; real sources (cursors, live
-	// generators) are full trace.Sources and carry the workload name.
+	// generators, FilterBranches) also carry the workload name.
 	name := ""
-	if s, ok := src.(trace.Source); ok {
+	if s, ok := src.(interface{ Name() string }); ok {
 		name = s.Name()
 	}
-	// Same devirtualization as Run: the dominant concrete source keeps the
-	// batch buffer on the driver's stack.
+	return runMany(lanes, src, name, classifierOf(src, opts), opts)
+}
+
+// runMany is RunMany with defaulted options and the workload name and
+// classifier resolved by the caller, which may have wrapped the original
+// source in a filter that hides both.
+func runMany(lanes []Lane, src trace.BranchSource, name string, classifier BranchClassifier, opts Options) []Result {
+	r := newFusedRun(lanes, classifier, opts)
+	// Devirtualizing the dominant concrete source keeps the batch buffer
+	// on the driver's stack.
 	if cur, ok := src.(*trace.Cursor); ok {
 		r.driveCursor(cur)
 	} else {
@@ -60,47 +60,56 @@ func RunMany(lanes []Lane, src trace.BranchSource, opts Options) []Result {
 // lane-invariant — they are functions of the stream's InstIndexes alone —
 // so they are computed once per batch, not once per lane.
 type fusedRun struct {
-	opts Options //bplint:lane branchRun.opts
+	opts Options
 
 	// Per-lane state, index-aligned with the lanes slice.
-	preds []predictor.Predictor //bplint:lane branchRun.p
-	//bplint:lane branchRun.cycleAware
-	aware []predictor.CycleAware // nil for cycle-oblivious lanes
-	//bplint:lane branchRun.p
-	steppers  []predictor.BatchStepper // nil for lanes on the scalar loop
-	mispred   []int64                  //bplint:lane branchRun.mispred
-	lastCycle []uint64                 //bplint:lane branchRun.lastCycle
+	preds     []predictor.Predictor
+	aware     []predictor.CycleAware   // nil for cycle-oblivious lanes
+	steppers  []predictor.BatchStepper // nil for lanes on the per-branch loop
+	mispred   []int64
+	lastCycle []uint64
+
+	// classifier, when non-nil, sends every lane down the per-branch loop
+	// so each measured branch is also tallied under its class in
+	// classRates[lane].
+	classifier BranchClassifier
+	classRates []map[string]*stats.Rate
 
 	// Stream-wide tallies, shared by every lane: insts and the measured
-	// count are functions of the stream's InstIndexes alone, and the taken
-	// tally with the measured denominator reconstructs every lane's
-	// branchRun rates in results.
-	insts    int64 //bplint:lane branchRun.insts
-	measured int64 //bplint:lane branchRun.taken,branchRun.mispred
-	taken    int64 //bplint:lane branchRun.taken
+	// count are functions of the stream's InstIndexes alone.
+	insts    int64
+	measured int64
+	taken    int64
 
 	// SoA view of the current batch, filled once and read by every
 	// BatchStepper lane.
-	pcs    [trace.BatchLen]uint64 //bplint:lane - column view of the shared batch; the scalar loop reads records directly
-	takens [trace.BatchLen]bool   //bplint:lane - column view of the shared batch; the scalar loop reads records directly
+	pcs    [trace.BatchLen]uint64
+	takens [trace.BatchLen]bool
 }
 
-func newFusedRun(lanes []Lane, opts Options) *fusedRun {
+func newFusedRun(lanes []Lane, classifier BranchClassifier, opts Options) *fusedRun {
 	r := &fusedRun{
-		opts:      opts,
-		preds:     make([]predictor.Predictor, len(lanes)),
-		aware:     make([]predictor.CycleAware, len(lanes)),
-		steppers:  make([]predictor.BatchStepper, len(lanes)),
-		mispred:   make([]int64, len(lanes)),
-		lastCycle: make([]uint64, len(lanes)),
+		opts:       opts,
+		preds:      make([]predictor.Predictor, len(lanes)),
+		aware:      make([]predictor.CycleAware, len(lanes)),
+		steppers:   make([]predictor.BatchStepper, len(lanes)),
+		mispred:    make([]int64, len(lanes)),
+		lastCycle:  make([]uint64, len(lanes)),
+		classifier: classifier,
+	}
+	if classifier != nil {
+		r.classRates = make([]map[string]*stats.Rate, len(lanes))
+		for i := range r.classRates {
+			r.classRates[i] = make(map[string]*stats.Rate)
+		}
 	}
 	for i, l := range lanes {
 		r.preds[i] = l.P
 		if ca, ok := l.P.(predictor.CycleAware); ok {
 			// Cycle-aware lanes need OnCycle interleaved per branch; they
-			// take the scalar loop even if they could batch-step.
+			// take the per-branch loop even if they could batch-step.
 			r.aware[i] = ca
-		} else if s, ok := l.P.(predictor.BatchStepper); ok {
+		} else if s, ok := l.P.(predictor.BatchStepper); ok && classifier == nil {
 			r.steppers[i] = s
 		}
 	}
@@ -108,9 +117,8 @@ func newFusedRun(lanes []Lane, opts Options) *fusedRun {
 }
 
 // driveCursor is drive specialized to the concrete replay cursor so the
-// batch array does not escape to the heap (see Run).
+// batch array does not escape to the heap.
 //
-//bplint:twin funcsim.branchRun.driveCursor
 //bplint:hotpath fused accuracy sweep; TestRunManyAllocs pins steady-state allocs to zero
 func (r *fusedRun) driveCursor(cur *trace.Cursor) {
 	var batch [trace.BatchLen]trace.BranchRec
@@ -127,8 +135,6 @@ func (r *fusedRun) driveCursor(cur *trace.Cursor) {
 }
 
 // drive runs the fused loop over any BranchSource.
-//
-//bplint:twin funcsim.branchRun.drive
 func (r *fusedRun) drive(bs trace.BranchSource) {
 	batch := make([]trace.BranchRec, trace.BatchLen)
 	for {
@@ -144,14 +150,13 @@ func (r *fusedRun) drive(bs trace.BranchSource) {
 }
 
 // step feeds one filled batch to every lane; it reports true when the
-// instruction budget is exhausted and the sweep is complete. The
-// per-branch context Run's loop reconstructs per record — budget cut,
-// warm-up boundary, fetch cycle — is reconstructed here from the same
-// InstIndexes; because records ascend by InstIndex, the cut and the
-// boundary are single positions valid for every lane.
+// instruction budget is exhausted and the sweep is complete. The branch at
+// 0-based stream index i is processed iff i < MaxInsts and measured iff
+// i >= WarmupInsts; because records ascend by InstIndex, the budget cut
+// and the warm-up boundary are single batch positions valid for every
+// lane. The fetch clock a CycleAware lane sees at that branch is
+// (i+1)/FetchWidth, announced only when it changes (cycle 0 never is).
 //
-//bplint:twin funcsim.branchRun.step
-//bplint:twinmap p=pred cycleaware=aware
 //bplint:hotpath fused batch loop shared by driveCursor and drive
 func (r *fusedRun) step(batch []trace.BranchRec) (done bool) {
 	cut := len(batch)
@@ -191,8 +196,14 @@ func (r *fusedRun) step(batch []trace.BranchRec) (done bool) {
 			}
 			pred := p.Predict(rec.PC)
 			p.Update(rec.PC, rec.Taken)
-			if i >= from && pred != rec.Taken {
-				r.mispred[li]++
+			if i >= from {
+				miss := pred != rec.Taken
+				if miss {
+					r.mispred[li]++
+				}
+				if r.classifier != nil {
+					r.classify(li, rec.PC, miss)
+				}
 			}
 		}
 	}
@@ -202,15 +213,26 @@ func (r *fusedRun) step(batch []trace.BranchRec) (done bool) {
 	return done
 }
 
-// finish fixes the instruction count when the stream ended before the
-// budget, mirroring branchRun.finish.
-//
-//bplint:twin funcsim.branchRun.finish
-func (r *fusedRun) finish(streamLen int64) {
-	r.insts = streamLen
-	if r.insts > r.opts.MaxInsts {
-		r.insts = r.opts.MaxInsts
+// classify tallies one measured branch of lane li under its static class —
+// the PerClass diagnostic. A class's rate is allocated on its first branch,
+// a handful per run.
+func (r *fusedRun) classify(li int, pc uint64, miss bool) {
+	name, ok := r.classifier.BranchClassName(pc)
+	if !ok {
+		return
 	}
+	cr := r.classRates[li][name]
+	if cr == nil {
+		cr = &stats.Rate{}
+		r.classRates[li][name] = cr
+	}
+	cr.Add(miss)
+}
+
+// finish fixes the instruction count when the stream ended before the
+// budget: min(stream length, MaxInsts).
+func (r *fusedRun) finish(streamLen int64) {
+	r.insts = min(streamLen, r.opts.MaxInsts)
 }
 
 func (r *fusedRun) results(lanes []Lane, workload string) []Result {
@@ -228,6 +250,9 @@ func (r *fusedRun) results(lanes []Lane, workload string) []Result {
 			Mispredicts:  r.mispred[i],
 			TakenRate:    takenRate,
 			PredSizeByte: l.P.SizeBytes(),
+		}
+		if r.classRates != nil {
+			out[i].ClassRates = r.classRates[i]
 		}
 	}
 	return out

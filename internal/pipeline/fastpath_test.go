@@ -11,16 +11,15 @@ import (
 	"branchsim/internal/workload"
 )
 
-// opaqueReplay hides every protocol but Source, forcing Run down the
-// instruction-at-a-time slow path with live caches — the reference the
-// fast-path layers must match bit for bit.
+// opaqueReplay hides every protocol but Source, so the engine assembles its
+// batches one Next call at a time and simulates live caches.
 type opaqueReplay struct{ src trace.Source }
 
 func (o opaqueReplay) Next(inst *trace.Inst) bool { return o.src.Next(inst) }
 func (o opaqueReplay) Name() string               { return o.src.Name() }
 
-// instSourceOnly exposes the batch protocol without being a *trace.Cursor,
-// exercising the interface-typed batched loop (runInstSource).
+// instSourceOnly exposes the batch protocol without being a *trace.Cursor;
+// the engine treats it as a plain Source.
 type instSourceOnly struct{ cur *trace.Cursor }
 
 func (o instSourceOnly) Next(inst *trace.Inst) bool     { return o.cur.Next(inst) }
@@ -61,11 +60,12 @@ func timingOrgs() []struct {
 	}
 }
 
-// TestTimingFastPathEquivalence is the tentpole's correctness contract: the
-// batched replay loop, the interface-typed batched loop, and the
-// memory-latency sidecar must each reproduce the instruction-at-a-time
-// live-cache run bit for bit — across benchmarks (including a stream
-// shorter than the budget), predictor organizations, and warmup settings.
+// TestTimingFastPathEquivalence pins the engine's drive paths against each
+// other: the devirtualized replay cursor, other sources fed one Next call
+// at a time, and the memory-latency sidecar must each reproduce the
+// live-cache run over an opaque source bit for bit — across benchmarks
+// (including a stream shorter than the budget), predictor organizations,
+// and warmup settings.
 func TestTimingFastPathEquivalence(t *testing.T) {
 	cases := []struct {
 		bench    string
@@ -86,21 +86,19 @@ func TestTimingFastPathEquivalence(t *testing.T) {
 		for _, org := range timingOrgs() {
 			for _, warmup := range []int64{0, 40_000} {
 				t.Run(tc.bench+"/"+org.name, func(t *testing.T) {
-					want := New(cfg, org.mk()).Run(opaqueReplay{rec.Replay()}, maxInsts, warmup)
+					want := Run(cfg, org.mk(), opaqueReplay{rec.Replay()}, nil, maxInsts, warmup)
 
-					batched := New(cfg, org.mk()).Run(rec.Replay(), maxInsts, warmup)
+					batched := Run(cfg, org.mk(), rec.Replay(), nil, maxInsts, warmup)
 					if !reflect.DeepEqual(batched, want) {
 						t.Errorf("warmup %d: batched cursor diverges:\n got %+v\nwant %+v", warmup, batched, want)
 					}
 
-					iface := New(cfg, org.mk()).Run(instSourceOnly{rec.Replay()}, maxInsts, warmup)
+					iface := Run(cfg, org.mk(), instSourceOnly{rec.Replay()}, nil, maxInsts, warmup)
 					if !reflect.DeepEqual(iface, want) {
 						t.Errorf("warmup %d: batched InstSource diverges:\n got %+v\nwant %+v", warmup, iface, want)
 					}
 
-					sim := New(cfg, org.mk())
-					sim.SetMemSidecar(side[tc.bench])
-					withSide := sim.Run(rec.Replay(), maxInsts, warmup)
+					withSide := Run(cfg, org.mk(), rec.Replay(), side[tc.bench], maxInsts, warmup)
 					if !reflect.DeepEqual(withSide, want) {
 						t.Errorf("warmup %d: sidecar run diverges:\n got %+v\nwant %+v", warmup, withSide, want)
 					}
@@ -117,14 +115,12 @@ func TestSidecarFallback(t *testing.T) {
 	rec := workload.Record(mustProfile(t, "gzip"), 120_000)
 	mk := func() predictor.Predictor { return predictor.NewGShareFromBudget(16 << 10) }
 	cfg := DefaultConfig()
-	want := New(cfg, mk()).Run(opaqueReplay{rec.Replay()}, 120_000, 30_000)
+	want := Run(cfg, mk(), opaqueReplay{rec.Replay()}, nil, 120_000, 30_000)
 
 	t.Run("geometry-mismatch", func(t *testing.T) {
 		other := MemGeometryOf(cfg)
 		other.L1I = cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Ways: 1}
-		sim := New(cfg, mk())
-		sim.SetMemSidecar(BuildMemSidecar(rec, other))
-		got := sim.Run(rec.Replay(), 120_000, 30_000)
+		got := Run(cfg, mk(), rec.Replay(), BuildMemSidecar(rec, other), 120_000, 30_000)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("mismatched-geometry sidecar was not ignored:\n got %+v\nwant %+v", got, want)
 		}
@@ -134,10 +130,8 @@ func TestSidecarFallback(t *testing.T) {
 		cur := rec.Replay()
 		var inst trace.Inst
 		cur.Next(&inst) // cursor no longer at position 0
-		sim := New(cfg, mk())
-		sim.SetMemSidecar(BuildMemSidecar(rec, MemGeometryOf(cfg)))
-		got := sim.Run(cur, 120_000, 30_000)
-		ref := New(cfg, mk()).Run(opaqueReplay{offsetReplay(rec)}, 120_000, 30_000)
+		got := Run(cfg, mk(), cur, BuildMemSidecar(rec, MemGeometryOf(cfg)), 120_000, 30_000)
+		ref := Run(cfg, mk(), opaqueReplay{offsetReplay(rec)}, nil, 120_000, 30_000)
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("mid-stream cursor with sidecar diverges from live run:\n got %+v\nwant %+v", got, ref)
 		}
@@ -145,9 +139,7 @@ func TestSidecarFallback(t *testing.T) {
 
 	t.Run("other-recording", func(t *testing.T) {
 		other := workload.Record(mustProfile(t, "mcf"), 120_000)
-		sim := New(cfg, mk())
-		sim.SetMemSidecar(BuildMemSidecar(other, MemGeometryOf(cfg)))
-		got := sim.Run(rec.Replay(), 120_000, 30_000)
+		got := Run(cfg, mk(), rec.Replay(), BuildMemSidecar(other, MemGeometryOf(cfg)), 120_000, 30_000)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("foreign-recording sidecar was not ignored:\n got %+v\nwant %+v", got, want)
 		}
@@ -163,27 +155,27 @@ func offsetReplay(rec *trace.Recording) *trace.Cursor {
 	return cur
 }
 
-// TestBatchedTimingRunAllocs pins the steady-state allocation count of the
-// batched+sidecar timing loop at zero: the batch lives on the driver's
-// stack (Run devirtualizes the replay cursor), the run state is a stack
-// struct, and the sidecar replaces the only allocating cache work. Skipped
-// under -race, which instruments allocation.
+// TestBatchedTimingRunAllocs pins the one-lane path the per-cell
+// experiment cells take: Run over a replay cursor with a covering sidecar
+// allocates only its setup (lane state, rings, caches, the result), so a
+// 5x longer stream allocates exactly as much as a short one. Skipped under
+// -race, which instruments allocation.
 func TestBatchedTimingRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	rec := workload.Record(mustProfile(t, "gzip"), 100_000)
-	cur := rec.Replay()
 	cfg := DefaultConfig()
-	side := BuildMemSidecar(rec, MemGeometryOf(cfg))
-	sim := New(cfg, predictor.NewGShareFromBudget(16<<10))
-	sim.SetMemSidecar(side)
-	sim.Run(cur, 100_000, 20_000) // warm any lazy state
-	allocs := testing.AllocsPerRun(10, func() {
-		cur.Reset()
-		sim.Run(cur, 100_000, 20_000)
-	})
-	if allocs != 0 {
-		t.Fatalf("batched timing Run allocates %.1f objects per run, want 0", allocs)
+	measure := func(rec *trace.Recording) float64 {
+		side := BuildMemSidecar(rec, MemGeometryOf(cfg))
+		cur := rec.Replay()
+		return testing.AllocsPerRun(5, func() {
+			cur.Reset()
+			Run(cfg, predictor.NewGShareFromBudget(16<<10), cur, side, 100_000, 20_000)
+		})
+	}
+	prof := mustProfile(t, "gzip")
+	short, long := workload.Record(prof, 20_000), workload.Record(prof, 100_000)
+	if a, b := measure(short), measure(long); a != b {
+		t.Fatalf("Run allocates per batch: %.1f allocs on a short stream, %.1f on a long one", a, b)
 	}
 }

@@ -96,9 +96,7 @@ func TestFusedTimingEquivalence(t *testing.T) {
 				ref = append(ref, Lane{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)})
 			}
 			for i, l := range ref {
-				sim := New(l.Cfg, l.Pred)
-				sim.SetMemSidecar(side)
-				want := sim.Run(rec.Replay(), maxInsts, warmup)
+				want := Run(l.Cfg, l.Pred, rec.Replay(), side, maxInsts, warmup)
 				if !reflect.DeepEqual(fused[i], want) {
 					t.Errorf("%s warmup %d lane %d (%s): fused diverges from per-cell:\n got %+v\nwant %+v",
 						tc.bench, warmup, i, want.Predictor, fused[i], want)
@@ -118,7 +116,7 @@ func TestFusedTimingLiveCaches(t *testing.T) {
 
 	t.Run("nil-sidecar", func(t *testing.T) {
 		fused := RunMany([]Lane{{Cfg: cfg, Pred: mk()}}, rec.Replay(), nil, 120_000, 30_000)
-		want := New(cfg, mk()).Run(rec.Replay(), 120_000, 30_000)
+		want := Run(cfg, mk(), rec.Replay(), nil, 120_000, 30_000)
 		if !reflect.DeepEqual(fused[0], want) {
 			t.Errorf("live-cache fused run diverges:\n got %+v\nwant %+v", fused[0], want)
 		}
@@ -129,7 +127,7 @@ func TestFusedTimingLiveCaches(t *testing.T) {
 		other.L1I = cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Ways: 1}
 		fused := RunMany([]Lane{{Cfg: cfg, Pred: mk()}}, rec.Replay(),
 			BuildMemSidecar(rec, other), 120_000, 30_000)
-		want := New(cfg, mk()).Run(rec.Replay(), 120_000, 30_000)
+		want := Run(cfg, mk(), rec.Replay(), nil, 120_000, 30_000)
 		if !reflect.DeepEqual(fused[0], want) {
 			t.Errorf("mismatched-geometry sidecar was not ignored:\n got %+v\nwant %+v", fused[0], want)
 		}
@@ -138,7 +136,7 @@ func TestFusedTimingLiveCaches(t *testing.T) {
 	t.Run("opaque-source", func(t *testing.T) {
 		fused := RunMany([]Lane{{Cfg: cfg, Pred: mk()}}, opaqueReplay{rec.Replay()},
 			BuildMemSidecar(rec, MemGeometryOf(cfg)), 120_000, 30_000)
-		want := New(cfg, mk()).Run(opaqueReplay{rec.Replay()}, 120_000, 30_000)
+		want := Run(cfg, mk(), opaqueReplay{rec.Replay()}, nil, 120_000, 30_000)
 		if !reflect.DeepEqual(fused[0], want) {
 			t.Errorf("opaque-source fused run diverges:\n got %+v\nwant %+v", fused[0], want)
 		}
@@ -147,7 +145,7 @@ func TestFusedTimingLiveCaches(t *testing.T) {
 	t.Run("inst-source", func(t *testing.T) {
 		fused := RunMany([]Lane{{Cfg: cfg, Pred: mk()}}, instSourceOnly{rec.Replay()},
 			nil, 120_000, 30_000)
-		want := New(cfg, mk()).Run(instSourceOnly{rec.Replay()}, 120_000, 30_000)
+		want := Run(cfg, mk(), instSourceOnly{rec.Replay()}, nil, 120_000, 30_000)
 		if !reflect.DeepEqual(fused[0], want) {
 			t.Errorf("InstSource fused run diverges:\n got %+v\nwant %+v", fused[0], want)
 		}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"branchsim/internal/core"
@@ -10,39 +11,42 @@ import (
 	"branchsim/internal/workload"
 )
 
-// perfect predicts every branch correctly by peeking at the trace — the
-// driver calls Predict before Update, and we exploit that the simulator
-// calls them back to back with the same instruction.
-type oracle struct{ next bool }
+// perfect predicts every branch correctly by peeking at the trace: the
+// generator queues each branch outcome as it is read, and the simulator
+// predicts the branches in stream order, each exactly once.
+type perfect struct{ outcomes []bool }
 
-func (o *oracle) Predict(uint64) bool { return o.next }
-func (o *oracle) Update(uint64, bool) {}
-func (o *oracle) SizeBytes() int      { return 0 }
-func (o *oracle) Name() string        { return "oracle" }
-func (o *oracle) arm(taken bool)      { o.next = taken }
+func (o *perfect) Predict(uint64) bool {
+	next := o.outcomes[0]
+	o.outcomes = o.outcomes[1:]
+	return next
+}
+func (o *perfect) Update(uint64, bool) {}
+func (o *perfect) SizeBytes() int      { return 0 }
+func (o *perfect) Name() string        { return "perfect" }
 
-// oracleGen wraps a generator and arms the oracle before each branch.
-type oracleGen struct {
+// perfectGen wraps a generator and queues each branch outcome for the
+// perfect predictor.
+type perfectGen struct {
 	inner trace.Generator
-	o     *oracle
+	o     *perfect
 }
 
-func (g *oracleGen) Next(inst *trace.Inst) bool {
+func (g *perfectGen) Next(inst *trace.Inst) bool {
 	if !g.inner.Next(inst) {
 		return false
 	}
 	if inst.Kind == trace.CondBranch {
-		g.o.arm(inst.Taken)
+		g.o.outcomes = append(g.o.outcomes, inst.Taken)
 	}
 	return true
 }
 
-func (g *oracleGen) Name() string { return g.inner.Name() }
+func (g *perfectGen) Name() string { return g.inner.Name() }
 
 func run(p predictor.Predictor, bench string, insts int64) Result {
 	prof, _ := workload.ByName(bench)
-	sim := New(DefaultConfig(), p)
-	return sim.Run(workload.New(prof), insts, insts/4)
+	return Run(DefaultConfig(), p, workload.New(prof), nil, insts, insts/4)
 }
 
 func TestIPCWithinPhysicalBounds(t *testing.T) {
@@ -53,10 +57,9 @@ func TestIPCWithinPhysicalBounds(t *testing.T) {
 }
 
 func TestOraclePredictorBeatsBadPredictor(t *testing.T) {
-	o := &oracle{}
+	o := &perfect{}
 	prof, _ := workload.ByName("twolf")
-	simO := New(DefaultConfig(), o)
-	resO := simO.Run(&oracleGen{inner: workload.New(prof), o: o}, 400000, 100000)
+	resO := Run(DefaultConfig(), o, &perfectGen{inner: workload.New(prof), o: o}, nil, 400000, 100000)
 
 	resBad := run(predictor.NotTaken{}, "twolf", 400000)
 	if resO.IPC() <= resBad.IPC() {
@@ -86,14 +89,12 @@ func TestOverrideBubblesReduceIPC(t *testing.T) {
 	prof, _ := workload.ByName("parser")
 	mkSlow := func() predictor.Predictor { return predictor.NewPerceptronFromBudget(256 << 10) }
 
-	ideal := New(DefaultConfig(), mkSlow())
-	idealRes := ideal.Run(workload.New(prof), 600000, 150000)
+	idealRes := Run(DefaultConfig(), mkSlow(), workload.New(prof), nil, 600000, 150000)
 
 	slow := mkSlow()
 	lat := delaymodel.Default.ForPredictor(slow)
 	over := core.NewOverriding(predictor.NewGShare(2048, 0), slow, lat)
-	overSim := New(DefaultConfig(), over)
-	overRes := overSim.Run(workload.New(prof), 600000, 150000)
+	overRes := Run(DefaultConfig(), over, workload.New(prof), nil, 600000, 150000)
 
 	if overRes.OverrideRate <= 0 {
 		t.Fatal("no overrides recorded")
@@ -109,11 +110,11 @@ func TestGShareFastPaysNoOrganizationPenalty(t *testing.T) {
 	// overriding gshare with a 9-cycle latency.
 	prof, _ := workload.ByName("vpr")
 	fast := core.New(core.Config{Entries: 1 << 20, Latency: 9})
-	fastRes := New(DefaultConfig(), fast).Run(workload.New(prof), 600000, 150000)
+	fastRes := Run(DefaultConfig(), fast, workload.New(prof), nil, 600000, 150000)
 
 	slow := predictor.NewGShare(1<<20, 0)
 	over := core.NewOverriding(predictor.NewGShare(2048, 0), slow, 9)
-	overRes := New(DefaultConfig(), over).Run(workload.New(prof), 600000, 150000)
+	overRes := Run(DefaultConfig(), over, workload.New(prof), nil, 600000, 150000)
 
 	if fastRes.IPC() <= overRes.IPC() {
 		t.Fatalf("pipelined gshare.fast (%.3f) should beat overriding gshare (%.3f) at equal size",
@@ -148,8 +149,8 @@ func TestDeeperPipelineCostsIPC(t *testing.T) {
 	shallow.PipelineDepth = 10
 	deep := DefaultConfig()
 	deep.PipelineDepth = 40
-	resShallow := New(shallow, predictor.NewGShareFromBudget(16<<10)).Run(workload.New(prof), 400000, 100000)
-	resDeep := New(deep, predictor.NewGShareFromBudget(16<<10)).Run(workload.New(prof), 400000, 100000)
+	resShallow := Run(shallow, predictor.NewGShareFromBudget(16<<10), workload.New(prof), nil, 400000, 100000)
+	resDeep := Run(deep, predictor.NewGShareFromBudget(16<<10), workload.New(prof), nil, 400000, 100000)
 	if resDeep.IPC() >= resShallow.IPC() {
 		t.Fatalf("deeper pipeline did not cost IPC: %.3f vs %.3f",
 			resDeep.IPC(), resShallow.IPC())
@@ -164,34 +165,55 @@ func TestBTBMissesCounted(t *testing.T) {
 }
 
 func TestSlotRing(t *testing.T) {
-	r := newSlotRing(2)
-	if got := r.take(10); got != 10 {
+	rg := newLaneRings(DefaultConfig()) // two multiply ports
+	if got := rg.takeInBoth(portMul, 10); got != 10 {
 		t.Fatalf("first take at %d", got)
 	}
-	if got := r.take(10); got != 10 {
+	if got := rg.takeInBoth(portMul, 10); got != 10 {
 		t.Fatalf("second take at %d", got)
 	}
-	if got := r.take(10); got != 11 {
+	if got := rg.takeInBoth(portMul, 10); got != 11 {
 		t.Fatalf("overflow take at %d, want 11", got)
 	}
-	if got := r.peekFree(10); got != 11 {
-		t.Fatalf("peek at %d, want 11", got)
-	}
-	// peek must not reserve.
-	if got := r.peekFree(11); got != 11 {
-		t.Fatalf("peek reserved: %d", got)
+	// The issue ring (8 wide) still has room at cycle 10 for another port.
+	if got := rg.takeInBoth(portInt, 10); got != 10 {
+		t.Fatalf("int-port take at %d, want 10", got)
 	}
 }
 
+// TestInvalidConfigPanics pins the engine's rejections, each with a
+// package-prefixed message: machines it cannot model and a warm-up that
+// would leave no instruction measured.
 func TestInvalidConfigPanics(t *testing.T) {
-	bad := DefaultConfig()
-	bad.IssueWidth = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for zero issue width")
-		}
-	}()
-	New(bad, predictor.Taken{})
+	zeroIssue := DefaultConfig()
+	zeroIssue.IssueWidth = 0
+	zeroROB := DefaultConfig()
+	zeroROB.ROBSize = 0
+	widePorts := DefaultConfig()
+	widePorts.IntPorts = 128 // a count byte holds at most 127 reservations
+	cases := []struct {
+		name          string
+		cfg           Config
+		insts, warmup int64
+	}{
+		{"zero issue width", zeroIssue, 1000, 0},
+		{"zero ROB", zeroROB, 1000, 0},
+		{"128 ports", widePorts, 1000, 0},
+		{"warm-up equals budget", DefaultConfig(), 1000, 1000},
+		{"warm-up past budget", DefaultConfig(), 1000, 4000},
+	}
+	prof, _ := workload.ByName("gzip")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "pipeline: ") {
+					t.Fatalf("panic %q, want a pipeline: message", msg)
+				}
+			}()
+			Run(tc.cfg, predictor.Taken{}, workload.New(prof), nil, tc.insts, tc.warmup)
+		})
+	}
 }
 
 func TestDeterministicIPC(t *testing.T) {
@@ -238,8 +260,8 @@ func TestUncheckpointedRecoveryCostsIPC(t *testing.T) {
 	mk := func() *core.GShareFast {
 		return core.New(core.Config{Entries: 1 << 20, Latency: 8})
 	}
-	with := New(DefaultConfig(), mk()).Run(workload.New(prof), 400000, 100000)
-	without := New(DefaultConfig(), core.WithoutCheckpointing(mk())).Run(workload.New(prof), 400000, 100000)
+	with := Run(DefaultConfig(), mk(), workload.New(prof), nil, 400000, 100000)
+	without := Run(DefaultConfig(), core.WithoutCheckpointing(mk()), workload.New(prof), nil, 400000, 100000)
 	if without.IPC() >= with.IPC() {
 		t.Fatalf("uncheckpointed recovery did not cost IPC: %.3f vs %.3f",
 			without.IPC(), with.IPC())

@@ -8,7 +8,7 @@ import (
 // MemGeometry is the part of a Config the memory-latency sidecar depends
 // on: the three cache geometries. Latencies are deliberately excluded — the
 // sidecar records hierarchy *outcomes* (which level served each access),
-// and the Sim charges its own config's latencies for them — so one sidecar
+// and each lane charges its own config's latencies for them — so one sidecar
 // serves every latency variant of a geometry. It is comparable and is the
 // memoization key component in internal/tracestore.
 type MemGeometry struct {
@@ -73,7 +73,7 @@ const (
 //     after a clear — a re-touch of the block accessed for i-1 with no
 //     intervening I-cache accesses, so the line is still resident and MRU:
 //     a guaranteed hit that moves no cache state except the hit tally
-//     (which the Sim counts live). The I-cache therefore evolves along the
+//     (which each lane counts itself). The I-cache therefore evolves along the
 //     predictor-independent new-block subsequence.
 //   - The D-cache is accessed for every load and store in program order,
 //     unconditionally.

@@ -138,3 +138,41 @@ func (c *BranchCursor) Name() string { return c.rec.name }
 
 // Reset rewinds the cursor to the first branch.
 func (c *BranchCursor) Reset() { c.ci, c.bi, c.scanned = 0, 0, 0 }
+
+// FilterBranches adapts a Source without the batch protocol to
+// BranchSource: it drains src one instruction at a time, stops after limit
+// instructions, and passes only the conditional branches through, each
+// positioned by its stream index. The limit keeps an endless or
+// branch-free stream from being read past the caller's budget; once it is
+// reached the filter reports end of stream, and InstsScanned reads
+// min(stream length, limit). The returned value also carries src's Name.
+func FilterBranches(src Source, limit int64) BranchSource {
+	return &branchFilter{src: src, limit: limit}
+}
+
+// branchFilter is FilterBranches' adapter.
+type branchFilter struct {
+	src     Source
+	limit   int64
+	scanned int64
+}
+
+// NextBranches implements BranchSource.
+func (f *branchFilter) NextBranches(dst []BranchRec) int {
+	var inst Inst
+	n := 0
+	for n < len(dst) && f.scanned < f.limit && f.src.Next(&inst) {
+		f.scanned++
+		if inst.Kind == CondBranch {
+			dst[n] = BranchRec{InstIndex: f.scanned - 1, PC: inst.PC, Taken: inst.Taken}
+			n++
+		}
+	}
+	return n
+}
+
+// InstsScanned implements BranchSource.
+func (f *branchFilter) InstsScanned() int64 { return f.scanned }
+
+// Name identifies the filtered workload.
+func (f *branchFilter) Name() string { return f.src.Name() }

@@ -268,3 +268,47 @@ func TestNextBranchesEmptyDst(t *testing.T) {
 		t.Fatalf("after empty dst: %d branches, want %d", len(got), len(want))
 	}
 }
+
+// TestFilterBranchesMatchesIndex pins the plain-Source adapter against a
+// recording's precomputed branch index: the same records in the same
+// order, an exact InstsScanned at end of stream, and a limit that cuts the
+// stream short and bounds the scan.
+func TestFilterBranchesMatchesIndex(t *testing.T) {
+	const n = 2*chunkLen + 321
+	rec := Record(&lcgSource{state: 11, n: n}, n)
+	want := drainBranches(rec.ReplayBranches(), BatchLen)
+	for _, batchLen := range []int{1, 7, BatchLen} {
+		f := FilterBranches(&lcgSource{state: 11, n: n}, n+10)
+		got := drainBranches(f, batchLen)
+		if len(got) != len(want) {
+			t.Fatalf("batch %d: %d branches, want %d", batchLen, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("batch %d: branch %d = %+v, want %+v", batchLen, i, got[i], want[i])
+			}
+		}
+		if f.InstsScanned() != n {
+			t.Fatalf("batch %d: InstsScanned = %d at end of stream, want %d", batchLen, f.InstsScanned(), n)
+		}
+	}
+
+	const limit = chunkLen + 5
+	f := FilterBranches(&lcgSource{state: 11, n: n}, limit)
+	got := drainBranches(f, BatchLen)
+	var cut []BranchRec
+	for _, r := range want {
+		if r.InstIndex < limit {
+			cut = append(cut, r)
+		}
+	}
+	if len(got) != len(cut) || (len(cut) > 0 && got[len(got)-1] != cut[len(cut)-1]) {
+		t.Fatalf("limit %d: %d branches, want %d", limit, len(got), len(cut))
+	}
+	if f.InstsScanned() != limit {
+		t.Fatalf("limit %d: InstsScanned = %d", limit, f.InstsScanned())
+	}
+	if name := f.(interface{ Name() string }).Name(); name != (&lcgSource{}).Name() {
+		t.Fatalf("filter name = %q", name)
+	}
+}

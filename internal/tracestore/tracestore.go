@@ -76,7 +76,7 @@ func (s *Store) Recording(key Key, record func() *trace.Recording) *trace.Record
 // Source returns a fresh replay cursor over the memoized recording for key,
 // recording up to key.Insts instructions from gen's stream on first use.
 // Each call returns an independent cursor, so callers can run concurrently.
-func (s *Store) Source(key Key, gen func() trace.Source) trace.Source {
+func (s *Store) Source(key Key, gen func() trace.Source) *trace.Cursor {
 	rec := s.Recording(key, func() *trace.Recording {
 		return trace.Record(gen(), key.Insts)
 	})

@@ -68,12 +68,12 @@ func TestReplayEquivalencePipeline(t *testing.T) {
 	for _, name := range equivalenceBenchmarks {
 		t.Run(name, func(t *testing.T) {
 			prof := profileFor(t, name)
-			mk := func() *pipeline.Sim {
-				return pipeline.New(pipeline.DefaultConfig(), predictor.NewGShareFromBudget(16<<10))
+			run := func(src trace.Source) pipeline.Result {
+				return pipeline.Run(pipeline.DefaultConfig(), predictor.NewGShareFromBudget(16<<10), src, nil, eqInsts, eqWarmup)
 			}
-			live := mk().Run(workload.New(prof), eqInsts, eqWarmup)
+			live := run(workload.New(prof))
 			rec := workload.Record(prof, eqInsts)
-			replay := mk().Run(rec.Replay(), eqInsts, eqWarmup)
+			replay := run(rec.Replay())
 			if live != replay {
 				t.Errorf("pipeline results differ:\nlive:   %+v\nreplay: %+v", live, replay)
 			}

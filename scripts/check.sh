@@ -19,17 +19,18 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> bplint ./... (all nineteen analyzers, concurrency + twin certification included)"
+echo "==> bplint ./... (all sixteen analyzers, concurrency certification included)"
 go run ./cmd/bplint ./...
 
 echo "==> bplint allow audit (every waiver carries a justification)"
 go run ./cmd/bplint -allows
 
-echo "==> seeded-drift regression (edited scalar statement must yield exactly one twinsync finding)"
-go test -run 'TestSeededDrift' ./internal/analysis
-
 echo "==> BPTRACE1 codec fuzz smoke (10s round-trip/fixed-point search)"
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/trace
+
+echo "==> engine oracle fuzz smoke (10s each: RunMany vs the textbook accuracy loop and scoreboard)"
+go test -run '^$' -fuzz FuzzRunManyOracle -fuzztime=10s ./internal/funcsim
+go test -run '^$' -fuzz FuzzRunManyOracle -fuzztime=10s ./internal/pipeline
 
 echo "==> concurrency certification: -race runtime twins of the static analyzers"
 # frozen: recordings are replayed concurrently with no synchronization —
@@ -47,20 +48,24 @@ go test -race -run 'TestConcurrentColdCoalesce' ./internal/resultstore
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
 go test -race -run 'TestReplayEquivalence|TestConcurrentReplay|TestClassifiedReplay' ./internal/tracestore
 
-echo "==> branch fast-path equivalence (batched vs instruction-at-a-time, race-enabled)"
-go test -race -run 'TestFastPathEquivalence' ./internal/funcsim
-go test -race -run 'TestBranchIndexMatchesStream|TestCodecPreservesBranchIndex|TestConcurrentBranchCursors' ./internal/trace
+echo "==> engine oracles (RunMany vs the obviously-correct references over random streams, race-enabled)"
+go test -race -run 'TestRunManyMatchesOracle' ./internal/funcsim ./internal/pipeline
+go test -race -run 'TestGoldenDigests|TestEveryBatchStepperMatchesScalar' ./internal/experiments
 
-echo "==> timing fast-path equivalence (batched/sidecar/memo vs instruction-at-a-time live-cache, race-enabled)"
+echo "==> branch source-shape equivalence (cursor index vs filtered Source, race-enabled)"
+go test -race -run 'TestFastPathEquivalence' ./internal/funcsim
+go test -race -run 'TestBranchIndexMatchesStream|TestCodecPreservesBranchIndex|TestConcurrentBranchCursors|TestFilterBranchesMatchesIndex' ./internal/trace
+
+echo "==> timing drive-path equivalence (cursor/sidecar/memo vs live-cache Source, race-enabled)"
 go test -race -run 'TestTimingFastPathEquivalence|TestSidecarFallback|TestSlotRingWraparound' ./internal/pipeline
 go test -race -run 'TestTimingMemoEquivalence|TestTimingMemoDeduplicates|TestTimingMemoConcurrentStress' ./internal/experiments
 go test -race -run 'TestNextInstsMatchesStream|TestNextInstsInterleavesWithNext|TestNextInstsProtocolMixPanics' ./internal/trace
 
-echo "==> fused timing equivalence (RunMany vs per-cell reference, geometry guard, scheduler parity, race-enabled)"
+echo "==> fused timing equivalence (RunMany lanes vs one-lane runs, geometry guard, scheduler parity, race-enabled)"
 go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard' ./internal/pipeline
 go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow' ./internal/experiments
 
-echo "==> fused accuracy equivalence (RunMany lanes and every BatchStepper vs the scalar protocol, packed perceptron vs textbook oracle, race-enabled)"
+echo "==> fused accuracy equivalence (RunMany lanes vs one-lane runs, every BatchStepper vs the scalar protocol, packed perceptron vs textbook oracle, race-enabled)"
 go test -race -run 'TestRunManyEquivalence|TestRunManySingleLane' ./internal/funcsim
 go test -race -run 'TestStepBatchEquivalence|TestPerceptronMatchesTextbook' ./internal/predictor
 
@@ -68,10 +73,10 @@ echo "==> cell store equivalence + robustness (store-served cells bit-identical;
 go test -race ./internal/resultstore
 go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestRunCellsPanicKey' ./internal/experiments
 
-echo "==> batched-loop allocation bounds (no race: alloc counts need a plain build)"
-go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
+echo "==> engine allocation bounds (no race: alloc counts need a plain build)"
+go test -run 'TestRunManyAllocs|TestBatchedRunAllocs' ./internal/funcsim
 go test -run 'TestMultiComponentAllocs' ./internal/predictor
-go test -run 'TestBatchedTimingRunAllocs|TestFusedTimingAllocs' ./internal/pipeline
+go test -run 'TestFusedTimingAllocs|TestBatchedTimingRunAllocs' ./internal/pipeline
 
 echo "==> go test -race ./..."
 go test -race ./...
